@@ -60,8 +60,8 @@ def load_statefile(path: str) -> tuple[np.ndarray, tuple[int, int], dict]:
             raise InputError(f"{path}: missing required key {key!r}")
     dims = doc["dims"]
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
-        raise InputError(f"{path}: dims must be two positive integers")
+            or not all(isinstance(d, int) and d >= 2 for d in dims)):
+        raise InputError(f"{path}: dims must be two integers >= 2")
     try:
         raw = np.asarray(doc["matrix"], dtype=float)
         if raw.ndim != 3 or raw.shape[2] != 2:

@@ -126,9 +126,7 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
     rho_b = matlin.partial_trace(r, (da, db), keep="B")
     cm_a = build_cm(rho_a, basis_a, kind)
     cm_b = build_cm(rho_b, basis_b, kind)
-    r4 = r.reshape(da, db, da, db)
-    joint = np.real(np.einsum("abcd,ica,jdb->ij", r4, basis_a.ops, basis_b.ops,
-                              optimize=True))
+    joint = matlin.joint_moments(r, basis_a.ops, basis_b.ops)
     c = joint - np.outer(cm_a.first_moments, cm_b.first_moments)
     bcm = BlockCovarianceMatrix(
         kind=kind, a=cm_a.matrix, b=cm_b.matrix, c=c,

@@ -79,15 +79,12 @@ def _balancing_filter(marginal: np.ndarray) -> np.ndarray:
     return (v * (scale / np.sqrt(w))) @ v.conj().T
 
 
-def _apply_left(t: np.ndarray, rho4: np.ndarray) -> np.ndarray:
-    # rho4 indices (a, b, a', b'); filter acts on a and a'
-    out = np.einsum("xa,abcd->xbcd", t, rho4, optimize=True)
-    return np.einsum("xbcd,yc->xbyd", out, t.conj(), optimize=True)
+def _marginal_a(r: np.ndarray, da: int, db: int) -> np.ndarray:
+    return np.einsum("abcb->ac", r.reshape(da, db, da, db))
 
 
-def _apply_right(t: np.ndarray, rho4: np.ndarray) -> np.ndarray:
-    out = np.einsum("xb,abcd->axcd", t, rho4, optimize=True)
-    return np.einsum("axcd,yd->axcy", out, t.conj(), optimize=True)
+def _marginal_b(r: np.ndarray, da: int, db: int) -> np.ndarray:
+    return np.einsum("abad->bd", r.reshape(da, db, da, db))
 
 
 def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
@@ -110,7 +107,7 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
         r = (1.0 - noise_eps) * r + noise_eps * np.eye(n) / n
         applied_eps = noise_eps
 
-    rho4 = (r / np.real(np.trace(r))).reshape(da, db, da, db)
+    r = r / np.real(np.trace(r))
     f_a = np.eye(da, dtype=complex)
     f_b = np.eye(db, dtype=complex)
     f_val = 1.0
@@ -121,20 +118,22 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     stall = 0
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
-        marg_a = np.einsum("abcb->ac", rho4)
-        t_a = _balancing_filter(marg_a)
-        rho4 = _apply_left(t_a, rho4)
-        tr = float(np.real(np.einsum("abab->", rho4)))
+        # (T x 1) r (T x 1)^dagger as two matmuls over the A row/column index
+        t_a = _balancing_filter(_marginal_a(r, da, db))
+        r = (t_a.conj() @ (t_a @ r.reshape(da, db * n)).reshape(n, da, db)
+             ).reshape(n, n)
+        tr = float(r.trace().real)
         f_val *= tr
-        rho4 /= tr
+        r /= tr
         f_a = t_a @ f_a
 
-        marg_b = np.einsum("abad->bd", rho4)
-        t_b = _balancing_filter(marg_b)
-        rho4 = _apply_right(t_b, rho4)
-        tr = float(np.real(np.einsum("abab->", rho4)))
+        # (1 x T) r (1 x T)^dagger, batched over the A row index
+        t_b = _balancing_filter(_marginal_b(r, da, db))
+        r = ((t_b @ r.reshape(da, db, n)).reshape(n, da, db) @ t_b.conj().T
+             ).reshape(n, n)
+        tr = float(r.trace().real)
         f_val *= tr
-        rho4 /= tr
+        r /= tr
         f_b = t_b @ f_b
 
         history.append(f_val)
@@ -146,14 +145,13 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
         if stall >= STALL_LIMIT:
             # the objective can flatten out well before the marginals settle
             # on nearly rank-deficient inputs, so both conditions gate exit
-            dev_a = np.max(np.abs(np.einsum("abcb->ac", rho4) - eye_a))
-            dev_b = np.max(np.abs(np.einsum("abad->bd", rho4) - eye_b))
+            dev_a = np.max(np.abs(_marginal_a(r, da, db) - eye_a))
+            dev_b = np.max(np.abs(_marginal_b(r, da, db) - eye_b))
             if max(dev_a, dev_b) <= MARGINAL_TOL:
                 converged = True
                 break
 
-    rho_tilde = rho4.reshape(n, n)
-    rho_tilde = (rho_tilde + rho_tilde.conj().T) / 2
+    rho_tilde = (r + r.conj().T) / 2
     return NormalForm(
         xi=normal_form_coefficients(rho_tilde, (da, db)),
         filter_a=f_a,
@@ -173,8 +171,6 @@ def normal_form_coefficients(rho_tilde: np.ndarray,
     """Singular values, scaled by d_A d_B, of the correlation matrix over
     orthonormal traceless local observables."""
     da, db = dims
-    ga = gellmann_like_basis(da).ops[1:]
-    gb = gellmann_like_basis(db).ops[1:]
-    r4 = rho_tilde.reshape(da, db, da, db)
-    xi_mat = np.real(np.einsum("abcd,ica,jdb->ij", r4, ga, gb, optimize=True))
+    xi_mat = matlin.joint_moments(rho_tilde, gellmann_like_basis(da).ops[1:],
+                                  gellmann_like_basis(db).ops[1:])
     return da * db * np.linalg.svd(xi_mat, compute_uv=False)

@@ -172,6 +172,16 @@ def realign(m, dims: tuple[int, int]) -> np.ndarray:
     return np.ascontiguousarray(r.transpose(0, 2, 1, 3).reshape(da * da, db * db))
 
 
+def joint_moments(rho, ops_a, ops_b) -> np.ndarray:
+    """Real parts of tr(rho (A_i x B_j)) for operator stacks of shape
+    (k, d, d), as one matmul chain over the realignment of rho."""
+    ka, da = ops_a.shape[:2]
+    kb, db = ops_b.shape[:2]
+    ga = ops_a.transpose(0, 2, 1).reshape(ka, da * da)
+    gb = ops_b.transpose(0, 2, 1).reshape(kb, db * db)
+    return np.real(ga @ realign(rho, (da, db)) @ gb.T)
+
+
 def swap_subsystems(rho, dims: tuple[int, int]) -> np.ndarray:
     """Exchange the two tensor factors of a bipartite matrix."""
     a = as_matrix(rho)

@@ -3,6 +3,7 @@ of unitaries on basis space."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +57,19 @@ class ObservableBasis:
             raise MatrixError(f"basis not orthonormal (max Gram dev {dev:.3e})")
 
 
+def _read_only(ops: list) -> np.ndarray:
+    # cached bases are shared by every caller, so their data must not change
+    arr = np.array(ops)
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=32)
 def standard_basis(d: int) -> ObservableBasis:
     """Projectors |i><i|, then (|i><j|+|j><i|)/sqrt2, then the imaginary
-    antisymmetric pairs, each family in lexicographic (i, j) order."""
+    antisymmetric pairs, each family in lexicographic (i, j) order.
+
+    Cached per d; the returned ``ops`` array is read-only."""
     if d < 2:
         raise MatrixError(f"standard basis needs d >= 2, got {d}")
     ops = []
@@ -77,7 +88,7 @@ def standard_basis(d: int) -> ObservableBasis:
             m[i, j] = 1j / np.sqrt(2)
             m[j, i] = -1j / np.sqrt(2)
             ops.append(m)
-    return ObservableBasis(dim=d, ops=np.array(ops), kind="standard")
+    return ObservableBasis(dim=d, ops=_read_only(ops), kind="standard")
 
 
 PAULI = {
@@ -94,9 +105,12 @@ def pauli_basis() -> ObservableBasis:
     return ObservableBasis(dim=2, ops=ops, kind="pauli")
 
 
+@functools.lru_cache(maxsize=32)
 def gellmann_like_basis(d: int) -> ObservableBasis:
     """Identity/sqrt(d) followed by d^2 - 1 traceless orthonormal Hermitians
-    (symmetric pairs, antisymmetric pairs, then diagonal generators)."""
+    (symmetric pairs, antisymmetric pairs, then diagonal generators).
+
+    Cached per d; the returned ``ops`` array is read-only."""
     if d < 2:
         raise MatrixError(f"basis needs d >= 2, got {d}")
     ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
@@ -118,7 +132,7 @@ def gellmann_like_basis(d: int) -> ObservableBasis:
         diag[l] = -l
         m = np.diag(diag).astype(complex) / np.sqrt(l * (l + 1))
         ops.append(m)
-    return ObservableBasis(dim=d, ops=np.array(ops), kind="gellmann")
+    return ObservableBasis(dim=d, ops=_read_only(ops), kind="gellmann")
 
 
 def _weyl_shift(d: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matlin import MatrixError, hermitize
+from .matlin import MatrixError, hermitize, joint_moments
 from .observables import standard_basis
 
 
@@ -52,9 +52,7 @@ def operator_schmidt(rho, d_a: int, d_b: int) -> SchmidtOperatorDecomposition:
             g_a=dec.g_b, g_b=dec.g_a, swapped=True)
     basis_a = standard_basis(d_a)
     basis_b = standard_basis(d_b)
-    r4 = r.reshape(d_a, d_b, d_a, d_b)
-    xi = np.real(np.einsum("abcd,ica,jdb->ij", r4, basis_a.ops, basis_b.ops,
-                           optimize=True))
+    xi = joint_moments(r, basis_a.ops, basis_b.ops)
     u, s, vt = np.linalg.svd(xi)
     ops_a = np.einsum("ik,iab->kab", u, basis_a.ops)
     ops_b = np.einsum("jk,jab->kab", vt.T[:, : d_a * d_a], basis_b.ops)

@@ -4,8 +4,6 @@ involved; sampling streams are reproducible from the seed alone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matlin import MatrixError, as_matrix
@@ -191,29 +189,3 @@ def bell_diagonal(c1: float, c2: float, c3: float) -> np.ndarray:
     if wmin < -PSD_CLIP:
         raise MatrixError(f"Bell-diagonal coefficients give eigenvalue {wmin:.3e} < 0")
     return _normalize_psd(rho)
-
-
-@dataclass(frozen=True)
-class StateFamily:
-    """Named generator with its parameter names and output dimensions
-    (dims None when they depend on the parameters)."""
-
-    name: str
-    params: tuple
-    generator: object
-    dims: tuple[int, int] | None
-
-
-FAMILIES = {
-    f.name: f for f in (
-        StateFamily("chessboard", ("m", "n", "a", "b", "c", "dpar"),
-                    chessboard, (3, 3)),
-        StateFamily("upb", ("p",), upb_tiles, (3, 3)),
-        StateFamily("rho-eps", ("eps", "r", "s", "t"), rho_epsilon, (2, 2)),
-        StateFamily("werner", ("p",), werner_2q, (2, 2)),
-        StateFamily("bell-diagonal", ("c1", "c2", "c3"), bell_diagonal, (2, 2)),
-        StateFamily("random", ("d", "rank", "rng"), random_density, None),
-        StateFamily("separable", ("d_a", "d_b", "n_terms", "rng"),
-                    random_separable, None),
-    )
-}

@@ -62,6 +62,16 @@ def test_invalid_state_exit_code(tmp_path, capsys):
     assert run_cli(["detect", str(path)]) == 2
 
 
+def test_unit_dimension_exit_code(tmp_path, capsys):
+    path = tmp_path / "dim1.json"
+    rho = np.eye(4) / 4
+    doc = {"dims": [1, 4],
+           "matrix": np.stack([rho, np.zeros_like(rho)], axis=-1).tolist()}
+    path.write_text(json.dumps(doc))
+    assert run_cli(["detect", str(path)]) == 2
+    assert "dims must be two integers >= 2" in capsys.readouterr().err
+
+
 def test_statefile_roundtrip(tmp_path):
     rng = np.random.default_rng(400)
     rho = states.random_density(6, rng=rng)

@@ -168,6 +168,38 @@ def test_filter_uneven_bound_value():
     assert abs(criteria.filter_xi_bound((2, 2)) - 2.0) < 1e-12
 
 
+def test_filter_unconverged_uneven_uses_de_vicente_bound():
+    """The (2,5) drop bound 5.5 needs a converged normal form; one sweep
+    leaves an iterate that is only held to sqrt(dA dB (dA-1)(dB-1))."""
+    assert abs(criteria.filter_xi_bound((2, 5)) - 5.5) < 1e-12
+    rng = np.random.default_rng(107)
+    rho = states.random_density(10, rng=rng)
+    v = cmc_filter(rho, (2, 5), max_iter=1)
+    assert not v.details["converged"]
+    assert abs(v.details["bound"] - np.sqrt(40.0)) < 1e-12
+    assert abs(v.margin - (v.details["xi_sum"] - np.sqrt(40.0))) < 1e-12
+    assert cmc_filter(rho, (2, 5)).details["bound"] == 5.5
+
+
+def test_sdp_detection_implies_ppt_detection():
+    """PPT is necessary and sufficient on two qubits, so the covariance
+    SDP can flag only states with a negative partial transpose."""
+    rng = np.random.default_rng(108)
+    sdp_hits = ppt_hits = 0
+    for i in range(40):
+        rho = states.random_density(4, rng=rng)
+        if i % 2:
+            rho = 0.5 * rho + 0.5 * states.random_separable(2, 2, rng=rng)
+        sdp = cmc_sdp_2q(rho)
+        assert sdp.status == "ok"
+        pt = ppt(rho, (2, 2))
+        if sdp.detected:
+            assert pt.detected
+        sdp_hits += sdp.detected
+        ppt_hits += pt.detected
+    assert 0 < sdp_hits <= ppt_hits < 40
+
+
 def test_sdp_identity_feasible():
     v = cmc_sdp_2q(np.eye(4) / 4)
     assert v.status == "ok"

@@ -7,7 +7,48 @@ import pytest
 
 from cmcsep import filtering, matlin, states
 from cmcsep.filtering import f_rho, normal_form
-from cmcsep.matlin import MatrixError
+from cmcsep.matlin import MatrixError, hermitize
+from cmcsep.observables import gellmann_like_basis
+
+
+def reference_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
+                          max_iter=filtering.DEFAULT_MAX_ITER,
+                          noise_eps=filtering.DEFAULT_NOISE_EPS):
+    """The filter sweep as index contractions on the (a, b, a', b') tensor;
+    returns (sweeps, xi) for comparison with the matmul kernel."""
+    da, db = dims
+    n = da * db
+    r = hermitize(rho, rtol=1e-10)
+    if float(np.linalg.eigvalsh(r)[0]) < noise_eps:
+        r = (1.0 - noise_eps) * r + noise_eps * np.eye(n) / n
+    rho4 = (r / np.real(np.trace(r))).reshape(da, db, da, db)
+    f_val, prev, stall, sweeps = 1.0, 1.0, 0, 0
+    for sweeps in range(1, max_iter + 1):
+        t = filtering._balancing_filter(np.einsum("abcb->ac", rho4))
+        out = np.einsum("xa,abcd->xbcd", t, rho4, optimize=True)
+        rho4 = np.einsum("xbcd,yc->xbyd", out, t.conj(), optimize=True)
+        tr = float(np.real(np.einsum("abab->", rho4)))
+        f_val *= tr
+        rho4 /= tr
+        t = filtering._balancing_filter(np.einsum("abad->bd", rho4))
+        out = np.einsum("xb,abcd->axcd", t, rho4, optimize=True)
+        rho4 = np.einsum("axcd,yd->axcy", out, t.conj(), optimize=True)
+        tr = float(np.real(np.einsum("abab->", rho4)))
+        f_val *= tr
+        rho4 /= tr
+        stall = stall + 1 if abs(prev - f_val) / max(abs(f_val), 1e-300) < tol else 0
+        prev = f_val
+        if stall >= filtering.STALL_LIMIT:
+            dev_a = np.max(np.abs(np.einsum("abcb->ac", rho4) - np.eye(da) / da))
+            dev_b = np.max(np.abs(np.einsum("abad->bd", rho4) - np.eye(db) / db))
+            if max(dev_a, dev_b) <= filtering.MARGINAL_TOL:
+                break
+    rt = rho4.reshape(n, n)
+    rt = ((rt + rt.conj().T) / 2).reshape(da, db, da, db)
+    ga = gellmann_like_basis(da).ops[1:]
+    gb = gellmann_like_basis(db).ops[1:]
+    xi_mat = np.real(np.einsum("abcd,ica,jdb->ij", rt, ga, gb, optimize=True))
+    return sweeps, da * db * np.linalg.svd(xi_mat, compute_uv=False)
 
 
 def test_f_all_maximally_mixed_is_one():
@@ -142,3 +183,18 @@ def test_normal_form_speed_and_convergence():
         nf = normal_form(rho, (3, 3), tol=1e-10)
         assert time.perf_counter() - start < 1.0
         assert nf.converged
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (2, 5)])
+def test_normal_form_matches_contraction_reference(dims):
+    """The matmul sweep reproduces the index-contraction sweep: same sweep
+    count and coefficients, on full-rank and noise-mixed low-rank input."""
+    da, db = dims
+    rng = np.random.default_rng([81, da, db])
+    for rank in (None, None, da * db // 2, da * db // 2):
+        rho = states.random_density(da * db, rank=rank, rng=rng)
+        nf = normal_form(rho, dims)
+        sweeps, xi = reference_normal_form(rho, dims)
+        assert nf.noise_eps == (0.0 if rank is None else filtering.DEFAULT_NOISE_EPS)
+        assert nf.iterations == sweeps
+        assert np.max(np.abs(nf.xi - xi)) < 1e-12

@@ -223,6 +223,22 @@ def test_realign_frobenius_isometry():
                    - np.linalg.norm(m)) < 1e-12
 
 
+@pytest.mark.parametrize("da,db,ka,kb", [(2, 3, 3, 7), (3, 2, 9, 4), (2, 5, 4, 25)])
+def test_joint_moments_matches_contraction(da, db, ka, kb):
+    """Re tr(m (A_i x B_j)) for arbitrary complex m and non-Hermitian
+    operator stacks of uneven sizes."""
+    rng = np.random.default_rng([24, da, db])
+    n = da * db
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    ops_a = rng.normal(size=(ka, da, da)) + 1j * rng.normal(size=(ka, da, da))
+    ops_b = rng.normal(size=(kb, db, db)) + 1j * rng.normal(size=(kb, db, db))
+    expected = np.real(np.einsum("abcd,ica,jdb->ij", m.reshape(da, db, da, db),
+                                 ops_a, ops_b))
+    got = matlin.joint_moments(m, ops_a, ops_b)
+    assert got.shape == (ka, kb)
+    assert np.max(np.abs(got - expected)) < 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
 def test_swap_subsystems():
     rng = np.random.default_rng(24)
     a = random_hermitian(2, rng)

@@ -171,3 +171,12 @@ def test_make_basis_dispatch():
         obs.make_basis("pauli", 3)
     with pytest.raises(MatrixError):
         obs.make_basis("nope", 2)
+
+
+@pytest.mark.parametrize("factory", [obs.standard_basis, obs.gellmann_like_basis])
+def test_cached_basis_is_shared_and_read_only(factory):
+    basis = factory(3)
+    assert factory(3) is basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis.ops[0, 0, 0] = 2.0
+    basis.check()
