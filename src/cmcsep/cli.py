@@ -95,13 +95,15 @@ def _emit(doc, out: str | None) -> None:
 
 
 def _worker_count() -> int:
+    """Worker processes from CMCSEP_THREADS, clamped to [1, cpu_count]."""
+    cpus = max(1, os.cpu_count() or 1)
     env = os.environ.get("CMCSEP_THREADS", "")
     if env.strip():
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cpus)
         except ValueError:
             raise InputError(f"CMCSEP_THREADS={env!r} is not an integer")
-    return max(1, os.cpu_count() or 1)
+    return cpus
 
 
 def cmd_detect(args) -> int:
@@ -287,9 +289,9 @@ def run_benchmark(n: int, seed: int, crit_names: list[str],
     Rows are ordered by sample index whatever the worker count; each sample
     draws from its own rng stream keyed by (seed, index).
     """
-    workers = _worker_count() if workers is None else workers
+    workers = min(_worker_count() if workers is None else workers, n)
     tasks = [(seed, i, crit_names) for i in range(n)]
-    if workers > 1 and n > 1:
+    if workers > 1:
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:

@@ -351,7 +351,8 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
         return CriterionVerdict(
             name="cmc_sdp_2q", detected=None, margin=float("nan"),
             details={"solver_status": sol.status,
-                     "iterations": sol.iterations},
+                     "iterations": sol.iterations,
+                     "solver_attempts": sol.attempts},
             eps_margin=SDP_EPS_MARGIN, status="undetermined")
     lam_star = float(sol.x[0])
     z1 = sol.z_blocks[0]
@@ -368,6 +369,7 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
         "lur_value": lur_value(r, lur.ops_a, lur.ops_b),
         "gap": sol.gap,
         "iterations": sol.iterations,
+        "solver_attempts": sol.attempts,
     }
     return CriterionVerdict(
         name="cmc_sdp_2q", detected=bool(lam_star < -SDP_EPS_MARGIN),

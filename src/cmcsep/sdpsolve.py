@@ -9,7 +9,7 @@ variables, blocks of a few rows), so robustness is favored throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,26 +84,34 @@ class SdpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
+    attempts: int = 1  # runs made, counting the rescaled retries
 
 
-def _min_eig_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """Largest alpha with s + alpha ds > 0, via the scaled eigenproblem.
+def _step_factor(s: np.ndarray) -> np.ndarray:
+    """V diag(w)^-1/2 from the eigendecomposition of a symmetric block.
 
-    Eigendecomposition-based so that iterates grazing the cone boundary
-    (rounding-level negative eigenvalues) do not abort the solve.
+    Eigenvalues are floored at 1e-14 of the largest, so that iterates
+    grazing the cone boundary (rounding-level negative eigenvalues) do not
+    abort the solve.
     """
-    if s.shape[0] == 1:
-        if ds[0, 0] >= 0:
-            return np.inf
-        return max(s[0, 0], 0.0) / -ds[0, 0]
     w, v = np.linalg.eigh(s)
     floor = max(abs(w[-1]), 1e-300) * 1e-14
-    w = np.maximum(w, floor)
-    isqrt = v / np.sqrt(w)
-    wmin = float(np.linalg.eigvalsh(isqrt.T @ ds @ isqrt)[0])
-    if wmin >= 0:
-        return np.inf
-    return -1.0 / wmin
+    return v / np.sqrt(np.maximum(w, floor))
+
+
+def _max_step(blocks, factors, steps) -> float:
+    """Step fraction of the largest alpha with every block + alpha step > 0,
+    capped at 1, via the eigenproblem scaled by each block's step factor."""
+    alpha = np.inf
+    for s, f, d in zip(blocks, factors, steps):
+        if s.shape[0] == 1:
+            if d[0, 0] < 0:
+                alpha = min(alpha, max(s[0, 0], 0.0) / -d[0, 0])
+            continue
+        wmin = float(np.linalg.eigvalsh(f.T @ d @ f)[0])
+        if wmin < 0:
+            alpha = min(alpha, -1.0 / wmin)
+    return min(1.0, _STEP_FRACTION * alpha)
 
 
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
@@ -114,82 +122,73 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     A stalled run is retried on a rescaled copy of the data (same optimum,
     decorrelated trajectory): near-degenerate optimal faces make the last
     few digits of the path chaotic, and a different scaling routinely
-    converges where the first attempt ground to a halt.
+    converges where the first attempt ground to a halt.  ``attempts`` on
+    the result counts the runs made.
     """
     best = None
-    for factor in (1.0, 2.0, 4.0):
+    for attempts, factor in enumerate((1.0, 2.0, 4.0), start=1):
         scaled = problem if factor == 1.0 else SdpProblem(
             c=problem.c * factor,
             f0_blocks=[b * factor for b in problem.f0_blocks],
             fi_blocks=[b * factor for b in problem.fi_blocks])
         sol = _solve_core(scaled, tol, max_iter)
-        if factor != 1.0:
-            sol = SdpSolution(
-                x=sol.x,
-                z_blocks=sol.z_blocks,
-                s_blocks=[b / factor for b in sol.s_blocks],
-                primal_objective=sol.primal_objective / factor,
-                dual_objective=sol.dual_objective / factor,
-                gap=sol.gap / factor,
-                status=sol.status,
-                iterations=sol.iterations,
-                primal_residual=sol.primal_residual / factor,
-                dual_residual=sol.dual_residual / factor,
-            )
+        sol = replace(
+            sol,
+            s_blocks=[b / factor for b in sol.s_blocks],
+            primal_objective=sol.primal_objective / factor,
+            dual_objective=sol.dual_objective / factor,
+            gap=sol.gap / factor,
+            primal_residual=sol.primal_residual / factor,
+            dual_residual=sol.dual_residual / factor,
+            attempts=attempts,
+        )
         if sol.status != "max_iter":
             return sol
         if best is None or abs(sol.gap) < abs(best.gap):
             best = sol
-    return best
+    return replace(best, attempts=attempts)
 
 
 def _solve_core(problem: SdpProblem, tol: float,
                 max_iter: int) -> SdpSolution:
     m = problem.n_vars
-    f0 = problem.f0_blocks
-    fi = problem.fi_blocks
+    c = problem.c
     dims = problem.block_dims
     ntot = sum(dims)
-    nblocks = len(dims)
-    scale = max(1.0, max(float(np.max(np.abs(b))) for b in f0),
-                float(np.max(np.abs(problem.c))) if m else 1.0)
+    starts = np.cumsum([0] + [nb * nb for nb in dims]).tolist()
 
-    x = np.zeros(m)
-    s = [scale * np.eye(nb) for nb in dims]
-    z = [scale * np.eye(nb) for nb in dims]
+    # Matrices live as vec(.), their row-major blocks stacked; split() gives
+    # the blocks back as views.
+    def split(v):
+        return [v[a:a + nb * nb].reshape(nb, nb) for a, nb in zip(starts, dims)]
 
-    # Constraint matrix of the dual equalities tr(F_i Z) = c_i over the
-    # vectorized blocks.  Dual steps are re-projected onto it exactly, so
-    # roundoff from the (increasingly ill-conditioned) Schur solves never
-    # accumulates in the dual residual.
-    amat = np.hstack([fi[b].reshape(m, dims[b] * dims[b]) for b in range(nblocks)])
+    def vec(blocks):
+        return np.concatenate([b.ravel() for b in blocks])
+
+    def sym_vec(blocks):
+        return vec([(b + b.T) / 2 for b in blocks])
+
+    # Constraint matrix of the dual equalities tr(F_i Z) = c_i over vec(Z),
+    # so F(x) = F0 + x @ amat and A*(Z) = amat @ vec(Z).  Dual steps are
+    # re-projected onto it exactly, so roundoff from the (increasingly
+    # ill-conditioned) Schur solves never accumulates in the dual residual.
+    f0vec = vec(problem.f0_blocks)
+    amat = np.hstack([f.reshape(m, nb * nb)
+                      for f, nb in zip(problem.fi_blocks, dims)])
+    scale = max(1.0, float(np.max(np.abs(f0vec))),
+                float(np.max(np.abs(c))) if m else 1.0)
     gram = amat @ amat.T + 1e-12 * scale**2 * np.eye(m)
 
     def project_dz(dz, target):
-        vec = np.concatenate([d.ravel() for d in dz])
-        shift = amat.T @ np.linalg.solve(gram, target - amat @ vec)
-        out = []
-        pos = 0
-        for b in range(nblocks):
-            nb2 = dims[b] * dims[b]
-            blk = dz[b] + shift[pos:pos + nb2].reshape(dims[b], dims[b])
-            out.append((blk + blk.T) / 2)
-            pos += nb2
-        return out
+        return sym_vec(split(
+            dz + amat.T @ np.linalg.solve(gram, target - amat @ dz)))
 
-    def fx_blocks(xv):
-        return [f0[b] + np.tensordot(xv, fi[b], axes=(0, 0)) for b in range(nblocks)]
+    def residuals(xv, sv, zv):
+        return f0vec + xv @ amat - sv, c - amat @ zv
 
-    def residuals(xv, sb, zb):
-        rp = [f + 0.0 for f in fx_blocks(xv)]
-        for b in range(nblocks):
-            rp[b] -= sb[b]
-        rd = problem.c - np.array([
-            sum(np.tensordot(fi[b][i], zb[b], axes=2) for b in range(nblocks))
-            for i in range(m)
-        ])
-        return rp, rd
-
+    x = np.zeros(m)
+    s = scale * vec([np.eye(nb) for nb in dims])
+    z = s.copy()
     status = "max_iter"
     it = 0
     best_metric = np.inf
@@ -197,15 +196,13 @@ def _solve_core(problem: SdpProblem, tol: float,
     since_best = 0
     for it in range(1, max_iter + 1):
         rp, rd = residuals(x, s, z)
-        mu = sum(np.tensordot(s[b], z[b], axes=2) for b in range(nblocks)) / ntot
-        rp_norm = max(float(np.max(np.abs(b))) for b in rp)
+        mu = float(s @ z) / ntot
         rd_norm = float(np.max(np.abs(rd))) if m else 0.0
-        gap = float(np.dot(problem.c, x)
-                    + sum(np.tensordot(f0[b], z[b], axes=2) for b in range(nblocks)))
-        metric = max(rp_norm, rd_norm, abs(gap)) / scale
+        gap = float(c @ x + f0vec @ z)
+        metric = max(float(np.max(np.abs(rp))), rd_norm, abs(gap)) / scale
         if metric < best_metric:
             best_metric = metric
-            best_state = (x.copy(), [b.copy() for b in s], [b.copy() for b in z])
+            best_state = (x, s, z)  # iterates are replaced, never mutated
             since_best = 0
         else:
             since_best += 1
@@ -215,101 +212,92 @@ def _solve_core(problem: SdpProblem, tol: float,
         if mu < 1e-13 * scale or since_best >= 30:
             break  # numerical floor reached; fall back to the best iterate
 
+        sb, zb = split(s), split(z)
         # Farkas check: a scaled dual ray with A*(Z) ~ 0 and tr(F0 Z) < 0
         # bounds the primal objective away from every feasible value.
-        znorm = sum(float(np.linalg.norm(b)) for b in z)
+        znorm = sum(float(np.linalg.norm(b)) for b in zb)
         if znorm > 1e8 * scale:
-            zray = [b / znorm for b in z]
-            ray_feas = float(np.max(np.abs(np.array([
-                sum(np.tensordot(fi[b][i], zray[b], axes=2) for b in range(nblocks))
-                for i in range(m)]))))
-            ray_obj = sum(np.tensordot(f0[b], zray[b], axes=2) for b in range(nblocks))
-            if ray_feas <= 1e-9 and ray_obj < -_INFEASIBILITY_MARGIN:
+            zray = z / znorm
+            if (float(np.max(np.abs(amat @ zray))) <= 1e-9
+                    and f0vec @ zray < -_INFEASIBILITY_MARGIN):
                 z = zray
                 status = "infeasible"
                 break
 
-        sinv = [np.linalg.inv(b) for b in s]
-        # Schur complement M_ij = sum_b tr(F_i S^-1 F_j Z), symmetrized
-        mmat = np.zeros((m, m))
-        for b in range(nblocks):
-            g = np.einsum("ab,jbc,cd->jad", sinv[b], fi[b], z[b], optimize=True)
-            mmat += np.einsum("iab,jba->ij", fi[b], g, optimize=True)
+        sinv = [np.linalg.inv(b) for b in sb]
+        # Schur complement M_ij = sum_b tr(F_i S^-1 F_j Z), contracted as
+        # amat against vec(S^-1 F_j Z) (the F_i are symmetric), symmetrized
+        mmat = amat @ np.hstack([
+            (si @ f @ zz).reshape(m, zz.size)
+            for si, f, zz in zip(sinv, problem.fi_blocks, zb)]).T
         mmat = (mmat + mmat.T) / 2
         mmat += 1e-13 * scale * np.eye(m)
+        # step-length factors of the current S and Z, shared by all directions
+        sfac = [_step_factor(b) for b in sb]
+        zfac = [_step_factor(b) for b in zb]
 
         def direction(sigma_mu, corr=None):
-            rhs = -rd.copy() if m else np.zeros(0)
-            for b in range(nblocks):
-                w = sigma_mu * sinv[b] - z[b] - sinv[b] @ rp[b] @ z[b]
-                if corr is not None:
-                    w -= sinv[b] @ corr[b]
-                rhs += np.einsum("iab,ba->i", fi[b], w, optimize=True)
+            # HKM: W(D) = sigma_mu S^-1 - Z - S^-1 D Z [- S^-1 corr]; the
+            # right-hand side is A*(W(Rp)) - rd and dZ = sym W(dS).  As the
+            # F_i are symmetric, tr(F_i W^T) = amat[i] @ vec(W).
+            base = [sigma_mu * si - zz for si, zz in zip(sinv, zb)]
+            if corr is not None:
+                base = [w - si @ k for w, si, k in zip(base, sinv, corr)]
+
+            def w_blocks(d):
+                return [w - si @ db @ zz
+                        for w, si, db, zz in zip(base, sinv, split(d), zb)]
+
+            rhs = amat @ vec(w_blocks(rp)) - rd
             try:
                 dx = np.linalg.solve(mmat, rhs)
                 dx += np.linalg.solve(mmat, rhs - mmat @ dx)  # refinement
             except np.linalg.LinAlgError:
                 dx = np.linalg.lstsq(mmat, rhs, rcond=None)[0]
-            ds = []
-            dz = []
-            for b in range(nblocks):
-                dsb = np.tensordot(dx, fi[b], axes=(0, 0)) + rp[b]
-                w = sigma_mu * sinv[b] - z[b] - sinv[b] @ dsb @ z[b]
-                if corr is not None:
-                    w -= sinv[b] @ corr[b]
-                dzb = (w + w.T) / 2
-                ds.append(dsb)
-                dz.append(dzb)
-            return dx, ds, project_dz(dz, rd)
+            ds = dx @ amat + rp
+            return dx, ds, project_dz(sym_vec(w_blocks(ds)), rd)
+
+        def steps(ds, dz):
+            return (_max_step(sb, sfac, split(ds)),
+                    _max_step(zb, zfac, split(dz)))
 
         # predictor
         dx_a, ds_a, dz_a = direction(0.0)
-        ap = min(1.0, _STEP_FRACTION * min(_min_eig_step(s[b], ds_a[b])
-                                           for b in range(nblocks)))
-        ad = min(1.0, _STEP_FRACTION * min(_min_eig_step(z[b], dz_a[b])
-                                           for b in range(nblocks)))
-        mu_aff = sum(np.tensordot(s[b] + ap * ds_a[b], z[b] + ad * dz_a[b], axes=2)
-                     for b in range(nblocks)) / ntot
+        ap, ad = steps(ds_a, dz_a)
+        mu_aff = float((s + ap * ds_a) @ (z + ad * dz_a)) / ntot
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-6)) if mu > 0 else 0.1
         # keep mu above what the gap tolerance needs; driving it further
         # amplifies the Schur system and erodes dual feasibility
         mu_floor = 0.1 * tol * scale / ntot
-        corr = [ds_a[b] @ dz_a[b] for b in range(nblocks)]
+        corr = [d @ e for d, e in zip(split(ds_a), split(dz_a))]
         dx, ds, dz = direction(max(sigma * mu, mu_floor), corr=corr)
-        ap = min(1.0, _STEP_FRACTION * min(_min_eig_step(s[b], ds[b])
-                                           for b in range(nblocks)))
-        ad = min(1.0, _STEP_FRACTION * min(_min_eig_step(z[b], dz[b])
-                                           for b in range(nblocks)))
+        ap, ad = steps(ds, dz)
         if min(ap, ad) < 0.05:
             # iterate has drifted off the central path and the Mehrotra step
             # collapsed; restore centrality with a pure sigma = 1 step
             dx, ds, dz = direction(max(mu, mu_floor))
-            ap = min(1.0, _STEP_FRACTION * min(_min_eig_step(s[b], ds[b])
-                                               for b in range(nblocks)))
-            ad = min(1.0, _STEP_FRACTION * min(_min_eig_step(z[b], dz[b])
-                                               for b in range(nblocks)))
+            ap, ad = steps(ds, dz)
         if not (np.isfinite(ap) and np.isfinite(ad)
-                and all(np.all(np.isfinite(d)) for d in ds)
-                and all(np.all(np.isfinite(d)) for d in dz)):
+                and np.all(np.isfinite(ds)) and np.all(np.isfinite(dz))):
             break
         x = x + ap * dx
-        s = [s[b] + ap * ds[b] for b in range(nblocks)]
-        z = [z[b] + ad * dz[b] for b in range(nblocks)]
+        s = s + ap * ds
+        z = z + ad * dz
 
     if status != "infeasible" and best_state is not None:
         x, s, z = best_state
     rp, rd = residuals(x, s, z)
-    primal_obj = float(np.dot(problem.c, x))
-    dual_obj = float(-sum(np.tensordot(f0[b], z[b], axes=2) for b in range(nblocks)))
+    primal_obj = float(c @ x)
+    dual_obj = -float(f0vec @ z)
     return SdpSolution(
         x=x,
-        z_blocks=z,
-        s_blocks=s,
+        z_blocks=split(z),
+        s_blocks=split(s),
         primal_objective=primal_obj,
         dual_objective=dual_obj,
         gap=primal_obj - dual_obj,
         status=status,
         iterations=it,
-        primal_residual=max(float(np.max(np.abs(b))) for b in rp),
+        primal_residual=float(np.max(np.abs(rp))),
         dual_residual=float(np.max(np.abs(rd))) if m else 0.0,
     )

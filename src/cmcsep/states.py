@@ -96,9 +96,7 @@ def upb_tiles(p: float) -> np.ndarray:
     return p * rho_be + (1.0 - p) * np.eye(9) / 9.0
 
 
-def rho_epsilon(eps: float, r: float, s: float, t: float) -> np.ndarray:
-    """Two-block two-qubit family whose Bloch-inverted partner can change
-    separability class; rejected when the parameters leave the state cone."""
+def _rho_epsilon_matrix(eps: float, r: float, s: float, t: float) -> np.ndarray:
     block = np.array([
         [1 + r, 0, 0, t],
         [0, 0, 0, 0],
@@ -107,7 +105,13 @@ def rho_epsilon(eps: float, r: float, s: float, t: float) -> np.ndarray:
     ], dtype=float)
     rest = np.zeros((4, 4))
     rest[1, 1] = 1.0
-    rho = (eps / 2.0) * block + (1.0 - eps) * rest
+    return (eps / 2.0) * block + (1.0 - eps) * rest
+
+
+def rho_epsilon(eps: float, r: float, s: float, t: float) -> np.ndarray:
+    """Two-block two-qubit family whose Bloch-inverted partner can change
+    separability class; rejected when the parameters leave the state cone."""
+    rho = _rho_epsilon_matrix(eps, r, s, t)
     wmin = float(np.linalg.eigvalsh(rho)[0])
     if wmin < -PSD_CLIP:
         raise MatrixError(f"rho_epsilon parameters give eigenvalue {wmin:.3e} < 0")
@@ -117,16 +121,7 @@ def rho_epsilon(eps: float, r: float, s: float, t: float) -> np.ndarray:
 def rho_epsilon_valid(eps: float, r: float, s: float, t: float) -> bool:
     """True when the rho_epsilon parameters yield a positive semidefinite
     unit-trace matrix."""
-    block = np.array([
-        [1 + r, 0, 0, t],
-        [0, 0, 0, 0],
-        [0, 0, s - r, 0],
-        [t, 0, 0, 1 - s],
-    ], dtype=float)
-    rest = np.zeros((4, 4))
-    rest[1, 1] = 1.0
-    rho = (eps / 2.0) * block + (1.0 - eps) * rest
-    return float(np.linalg.eigvalsh(rho)[0]) >= -PSD_CLIP
+    return float(np.linalg.eigvalsh(_rho_epsilon_matrix(eps, r, s, t))[0]) >= -PSD_CLIP
 
 
 def random_density(d: int, rank: int | None = None,

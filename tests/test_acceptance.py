@@ -6,14 +6,14 @@ two 10^4-sample ensembles.  Worker count follows CMCSEP_THREADS.
 """
 
 import multiprocessing
-import os
 import time
 
 import numpy as np
 import pytest
 
 from cmcsep import covariance, criteria, filtering, matlin, states
-from cmcsep.cli import BENCHMARK_CRITERIA, bisect_threshold, fig1_scan, run_benchmark
+from cmcsep.cli import (BENCHMARK_CRITERIA, _worker_count, bisect_threshold,
+                        fig1_scan, run_benchmark)
 from cmcsep.observables import standard_basis
 from cmcsep.schmidt import operator_schmidt
 
@@ -25,13 +25,6 @@ SOUND_N = 10000
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"\n[ACCEPTANCE {num}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"acceptance {num} {name}: {detail}"
-
-
-def _workers() -> int:
-    env = os.environ.get("CMCSEP_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -116,7 +109,7 @@ def _filter_vs_ppt(index: int) -> bool:
 def test_acceptance_3_two_qubit_necessary_sufficient():
     """Filter-CMC agrees with partial transposition on every full-rank
     two-qubit sample, and the Werner onset sits at p = 1/3."""
-    with multiprocessing.Pool(_workers()) as pool:
+    with multiprocessing.Pool(_worker_count()) as pool:
         agree = pool.map(_filter_vs_ppt, range(1000), chunksize=50)
     n_agree = sum(agree)
 
@@ -184,7 +177,7 @@ def test_acceptance_5_soundness():
     for da, db in ((2, 2), (2, 3), (3, 3)):
         tasks = [(da, db, lo, min(lo + chunk, SOUND_N))
                  for lo in range(0, SOUND_N, chunk)]
-        with multiprocessing.Pool(_workers()) as pool:
+        with multiprocessing.Pool(_worker_count()) as pool:
             results = pool.map(_soundness_chunk, tasks)
         total_hits += sum(h for h, _ in results)
         worst[(da, db)] = max(w for _, w in results)

@@ -1,14 +1,15 @@
 """Tests for the command-line interface and its file formats."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from cmcsep import states
-from cmcsep.cli import (bisect_threshold, load_statefile, main,
-                        write_statefile)
+from cmcsep import cli, states
+from cmcsep.cli import (_worker_count, bisect_threshold, load_statefile, main,
+                        run_benchmark, write_statefile)
 
 
 def run_cli(args):
@@ -158,6 +159,45 @@ def test_benchmark_csv_reproducible(tmp_path, capsys):
     finally:
         os.environ.pop("CMCSEP_THREADS", None)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_worker_count_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("CMCSEP_THREADS", "100000")
+    assert _worker_count() == 2
+    monkeypatch.setenv("CMCSEP_THREADS", "0")
+    assert _worker_count() == 1
+    monkeypatch.delenv("CMCSEP_THREADS")
+    assert _worker_count() == 2
+
+
+def test_benchmark_pool_sized_to_samples(monkeypatch):
+    """The pool is sized min(workers, n): one sample runs in-process and two
+    ask for two workers, whatever CMCSEP_THREADS says.  A serial stand-in
+    records the requested size, so no process is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setenv("CMCSEP_THREADS", "100000")
+    rows, fractions = run_benchmark(1, 3, ["ccnr"])
+    assert len(rows) == 1 and set(fractions) == {"ccnr"}
+    assert sizes == []
+    rows, _ = run_benchmark(2, 3, ["ccnr"], workers=64)
+    assert len(rows) == 2
+    assert sizes == [2]
 
 
 def test_benchmark_report_fields(tmp_path, capsys):

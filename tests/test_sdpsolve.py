@@ -4,7 +4,202 @@ import numpy as np
 import pytest
 
 from cmcsep import sdpsolve, states
+from cmcsep.covariance import two_qubit_effective_cm
+from cmcsep.criteria import SDP_EPS_MARGIN, _two_qubit_sdp_problem, cmc_sdp_2q
 from cmcsep.sdpsolve import SdpProblem, SdpError, solve
+
+
+def _reference_min_eig_step(s: np.ndarray, ds: np.ndarray) -> float:
+    """Largest alpha with s + alpha ds > 0, via the scaled eigenproblem.
+
+    Eigendecomposition-based so that iterates grazing the cone boundary
+    (rounding-level negative eigenvalues) do not abort the solve.
+    """
+    if s.shape[0] == 1:
+        if ds[0, 0] >= 0:
+            return np.inf
+        return max(s[0, 0], 0.0) / -ds[0, 0]
+    w, v = np.linalg.eigh(s)
+    floor = max(abs(w[-1]), 1e-300) * 1e-14
+    w = np.maximum(w, floor)
+    isqrt = v / np.sqrt(w)
+    wmin = float(np.linalg.eigvalsh(isqrt.T @ ds @ isqrt)[0])
+    if wmin >= 0:
+        return np.inf
+    return -1.0 / wmin
+
+
+def _reference_step(blocks, dirs) -> float:
+    return min(1.0, sdpsolve._STEP_FRACTION * min(
+        _reference_min_eig_step(b, d) for b, d in zip(blocks, dirs)))
+
+
+def reference_solve_core(problem: SdpProblem, tol: float,
+                          max_iter: int) -> sdpsolve.SdpSolution:
+    """The interior-point iteration with per-block tensordot and einsum
+    contractions, kept to check the stacked-matrix solver against."""
+    m = problem.n_vars
+    f0 = problem.f0_blocks
+    fi = problem.fi_blocks
+    dims = problem.block_dims
+    ntot = sum(dims)
+    nblocks = len(dims)
+    scale = max(1.0, max(float(np.max(np.abs(b))) for b in f0),
+                float(np.max(np.abs(problem.c))) if m else 1.0)
+
+    x = np.zeros(m)
+    s = [scale * np.eye(nb) for nb in dims]
+    z = [scale * np.eye(nb) for nb in dims]
+
+    # Constraint matrix of the dual equalities tr(F_i Z) = c_i over the
+    # vectorized blocks.  Dual steps are re-projected onto it exactly, so
+    # roundoff from the (increasingly ill-conditioned) Schur solves never
+    # accumulates in the dual residual.
+    amat = np.hstack([fi[b].reshape(m, dims[b] * dims[b]) for b in range(nblocks)])
+    gram = amat @ amat.T + 1e-12 * scale**2 * np.eye(m)
+
+    def project_dz(dz, target):
+        vec = np.concatenate([d.ravel() for d in dz])
+        shift = amat.T @ np.linalg.solve(gram, target - amat @ vec)
+        out = []
+        pos = 0
+        for b in range(nblocks):
+            nb2 = dims[b] * dims[b]
+            blk = dz[b] + shift[pos:pos + nb2].reshape(dims[b], dims[b])
+            out.append((blk + blk.T) / 2)
+            pos += nb2
+        return out
+
+    def fx_blocks(xv):
+        return [f0[b] + np.tensordot(xv, fi[b], axes=(0, 0)) for b in range(nblocks)]
+
+    def residuals(xv, sb, zb):
+        rp = [f + 0.0 for f in fx_blocks(xv)]
+        for b in range(nblocks):
+            rp[b] -= sb[b]
+        rd = problem.c - np.array([
+            sum(np.tensordot(fi[b][i], zb[b], axes=2) for b in range(nblocks))
+            for i in range(m)
+        ])
+        return rp, rd
+
+    status = "max_iter"
+    it = 0
+    best_metric = np.inf
+    best_state = None
+    since_best = 0
+    for it in range(1, max_iter + 1):
+        rp, rd = residuals(x, s, z)
+        mu = sum(np.tensordot(s[b], z[b], axes=2) for b in range(nblocks)) / ntot
+        rp_norm = max(float(np.max(np.abs(b))) for b in rp)
+        rd_norm = float(np.max(np.abs(rd))) if m else 0.0
+        gap = float(np.dot(problem.c, x)
+                    + sum(np.tensordot(f0[b], z[b], axes=2) for b in range(nblocks)))
+        metric = max(rp_norm, rd_norm, abs(gap)) / scale
+        if metric < best_metric:
+            best_metric = metric
+            best_state = (x.copy(), [b.copy() for b in s], [b.copy() for b in z])
+            since_best = 0
+        else:
+            since_best += 1
+        if metric <= tol:
+            status = "optimal"
+            break
+        if mu < 1e-13 * scale or since_best >= 30:
+            break  # numerical floor reached; fall back to the best iterate
+
+        # Farkas check: a scaled dual ray with A*(Z) ~ 0 and tr(F0 Z) < 0
+        # bounds the primal objective away from every feasible value.
+        znorm = sum(float(np.linalg.norm(b)) for b in z)
+        if znorm > 1e8 * scale:
+            zray = [b / znorm for b in z]
+            ray_feas = float(np.max(np.abs(np.array([
+                sum(np.tensordot(fi[b][i], zray[b], axes=2) for b in range(nblocks))
+                for i in range(m)]))))
+            ray_obj = sum(np.tensordot(f0[b], zray[b], axes=2) for b in range(nblocks))
+            if ray_feas <= 1e-9 and ray_obj < -sdpsolve._INFEASIBILITY_MARGIN:
+                z = zray
+                status = "infeasible"
+                break
+
+        sinv = [np.linalg.inv(b) for b in s]
+        # Schur complement M_ij = sum_b tr(F_i S^-1 F_j Z), symmetrized
+        mmat = np.zeros((m, m))
+        for b in range(nblocks):
+            g = np.einsum("ab,jbc,cd->jad", sinv[b], fi[b], z[b], optimize=True)
+            mmat += np.einsum("iab,jba->ij", fi[b], g, optimize=True)
+        mmat = (mmat + mmat.T) / 2
+        mmat += 1e-13 * scale * np.eye(m)
+
+        def direction(sigma_mu, corr=None):
+            rhs = -rd.copy() if m else np.zeros(0)
+            for b in range(nblocks):
+                w = sigma_mu * sinv[b] - z[b] - sinv[b] @ rp[b] @ z[b]
+                if corr is not None:
+                    w -= sinv[b] @ corr[b]
+                rhs += np.einsum("iab,ba->i", fi[b], w, optimize=True)
+            try:
+                dx = np.linalg.solve(mmat, rhs)
+                dx += np.linalg.solve(mmat, rhs - mmat @ dx)  # refinement
+            except np.linalg.LinAlgError:
+                dx = np.linalg.lstsq(mmat, rhs, rcond=None)[0]
+            ds = []
+            dz = []
+            for b in range(nblocks):
+                dsb = np.tensordot(dx, fi[b], axes=(0, 0)) + rp[b]
+                w = sigma_mu * sinv[b] - z[b] - sinv[b] @ dsb @ z[b]
+                if corr is not None:
+                    w -= sinv[b] @ corr[b]
+                dzb = (w + w.T) / 2
+                ds.append(dsb)
+                dz.append(dzb)
+            return dx, ds, project_dz(dz, rd)
+
+        # predictor
+        dx_a, ds_a, dz_a = direction(0.0)
+        ap = _reference_step(s, ds_a)
+        ad = _reference_step(z, dz_a)
+        mu_aff = sum(np.tensordot(s[b] + ap * ds_a[b], z[b] + ad * dz_a[b], axes=2)
+                     for b in range(nblocks)) / ntot
+        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-6)) if mu > 0 else 0.1
+        # keep mu above what the gap tolerance needs; driving it further
+        # amplifies the Schur system and erodes dual feasibility
+        mu_floor = 0.1 * tol * scale / ntot
+        corr = [ds_a[b] @ dz_a[b] for b in range(nblocks)]
+        dx, ds, dz = direction(max(sigma * mu, mu_floor), corr=corr)
+        ap = _reference_step(s, ds)
+        ad = _reference_step(z, dz)
+        if min(ap, ad) < 0.05:
+            # iterate has drifted off the central path and the Mehrotra step
+            # collapsed; restore centrality with a pure sigma = 1 step
+            dx, ds, dz = direction(max(mu, mu_floor))
+            ap = _reference_step(s, ds)
+            ad = _reference_step(z, dz)
+        if not (np.isfinite(ap) and np.isfinite(ad)
+                and all(np.all(np.isfinite(d)) for d in ds)
+                and all(np.all(np.isfinite(d)) for d in dz)):
+            break
+        x = x + ap * dx
+        s = [s[b] + ap * ds[b] for b in range(nblocks)]
+        z = [z[b] + ad * dz[b] for b in range(nblocks)]
+
+    if status != "infeasible" and best_state is not None:
+        x, s, z = best_state
+    rp, rd = residuals(x, s, z)
+    primal_obj = float(np.dot(problem.c, x))
+    dual_obj = float(-sum(np.tensordot(f0[b], z[b], axes=2) for b in range(nblocks)))
+    return sdpsolve.SdpSolution(
+        x=x,
+        z_blocks=z,
+        s_blocks=s,
+        primal_objective=primal_obj,
+        dual_objective=dual_obj,
+        gap=primal_obj - dual_obj,
+        status=status,
+        iterations=it,
+        primal_residual=max(float(np.max(np.abs(b))) for b in rp),
+        dual_residual=float(np.max(np.abs(rd))) if m else 0.0,
+    )
 
 
 def test_trivial_feasibility():
@@ -76,7 +271,7 @@ def test_infeasible_problem_certificate():
 def test_singlet_cmc_negative_lambda():
     """The singlet must violate the two-qubit CMC; cross-checked against
     the partial-transpose and filter verdicts."""
-    from cmcsep.criteria import cmc_filter, cmc_sdp_2q, ppt
+    from cmcsep.criteria import cmc_filter, ppt
 
     rho = states.werner_2q(1.0)
     v = cmc_sdp_2q(rho)
@@ -88,8 +283,6 @@ def test_singlet_cmc_negative_lambda():
 
 def test_random_solves_reach_gap():
     rng = np.random.default_rng(92)
-    from cmcsep.covariance import two_qubit_effective_cm
-    from cmcsep.criteria import _two_qubit_sdp_problem
 
     for _ in range(30):
         rho = states.random_density(4, rng=rng)
@@ -111,3 +304,76 @@ def test_problem_validation():
         asym = np.array([[0.0, 1.0], [0.0, 0.0]])
         SdpProblem(c=np.zeros(1), f0_blocks=[asym],
                    fi_blocks=[np.zeros((1, 2, 2))])
+
+
+def _two_qubit_problems(n: int) -> list[SdpProblem]:
+    """Seeded CMC programs: random full-rank states alternating with
+    separable mixtures, so both verdicts occur."""
+    rng = np.random.default_rng(93)
+    out = []
+    for i in range(n):
+        rho = (states.random_density(4, rng=rng) if i % 2 == 0 else
+               states.random_separable(2, 2, int(rng.integers(4, 16)), rng=rng))
+        out.append(_two_qubit_sdp_problem(two_qubit_effective_cm(rho)))
+    return out
+
+
+def _small_problems() -> list[SdpProblem]:
+    """The embedded LP, the top-eigenvalue program and an infeasible one."""
+    a = np.random.default_rng(90).normal(size=(4, 4))
+    return [
+        SdpProblem(c=np.array([1.0]), f0_blocks=[np.array([[-2.0]])],
+                   fi_blocks=[np.ones((1, 1, 1))]),
+        SdpProblem(c=np.array([1.0]), f0_blocks=[-(a + a.T) / 2],
+                   fi_blocks=[np.eye(4)[None, :, :]]),
+        SdpProblem(c=np.zeros(1), f0_blocks=[np.diag([-2.0, 0.0])],
+                   fi_blocks=[np.array([np.diag([1.0, -1.0])])]),
+    ]
+
+
+def test_solver_matches_contraction_reference():
+    """Same status, verdict and optimum as the per-block reference.  Only
+    lambda* = x[0] is compared on the CMC programs: the other coordinates
+    span a near-degenerate optimal face and differ at the 1e-5 level under
+    any change of rounding.  Iteration counts may differ in the end phase."""
+    tol, max_iter = sdpsolve.DEFAULT_TOL, sdpsolve.DEFAULT_MAX_ITER
+    verdicts = set()
+    for prob in _two_qubit_problems(60) + _small_problems():
+        new = sdpsolve._solve_core(prob, tol, max_iter)
+        ref = reference_solve_core(prob, tol, max_iter)
+        assert new.status == ref.status
+        assert abs(new.x[0] - ref.x[0]) <= 1e-7
+        if prob.n_vars == 11:
+            verdicts.add(bool(new.x[0] < -SDP_EPS_MARGIN))
+            assert (new.x[0] < -SDP_EPS_MARGIN) == (ref.x[0] < -SDP_EPS_MARGIN)
+        if new.status == "optimal":
+            assert abs(new.gap) <= 1e-8 and abs(ref.gap) <= 1e-8
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+def test_early_iterates_match_contraction_reference(max_iter):
+    """Before the end phase the trajectory is deterministic, so truncated
+    runs must agree with the reference to rounding in x, S and Z."""
+    for prob in _two_qubit_problems(6) + _small_problems():
+        new = sdpsolve._solve_core(prob, sdpsolve.DEFAULT_TOL, max_iter)
+        ref = reference_solve_core(prob, sdpsolve.DEFAULT_TOL, max_iter)
+        assert new.iterations == ref.iterations
+        assert np.max(np.abs(new.x - ref.x)) <= 1e-11
+        for got, want in zip(new.s_blocks + new.z_blocks,
+                             ref.s_blocks + ref.z_blocks):
+            assert np.max(np.abs(got - want)) <= 1e-11
+
+
+def test_rescaled_retries_counted():
+    prob = _two_qubit_problems(1)[0]
+    assert solve(prob).attempts == 1
+    stalled = solve(prob, max_iter=1)
+    assert stalled.status == "max_iter"
+    assert stalled.attempts == 3
+
+    rho = states.werner_2q(1.0)
+    assert cmc_sdp_2q(rho).details["solver_attempts"] == 1
+    v = cmc_sdp_2q(rho, max_iter=1)
+    assert v.status == "undetermined"
+    assert v.details["solver_attempts"] == 3
