@@ -17,6 +17,7 @@ from .criteria import (
     CmWitness,
     CriterionVerdict,
     LurSet,
+    PreparedState,
     ccnr,
     cmc_filter,
     cmc_kyfan_weyl,

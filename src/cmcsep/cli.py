@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -273,10 +274,10 @@ def cmd_threshold(args) -> int:
 def _benchmark_one(task) -> list[tuple[int, str, float, bool]]:
     seed, index, crit_names = task
     rng = np.random.default_rng([seed, index])
-    rho = states.sample_chessboard(rng)
+    state = criteria.PreparedState(states.sample_chessboard(rng), (3, 3))
     rows = []
     for cname in crit_names:
-        vs = criteria.run_all(rho, (3, 3), criteria=[CLI_CRITERIA[cname]])
+        vs = criteria.run_all(state, (3, 3), criteria=[CLI_CRITERIA[cname]])
         for v in vs:
             rows.append((index, cname, float(v.margin), bool(v.detected)))
     return rows
@@ -449,9 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import MatrixError, as_matrix, hermitize
+from .matlin import STATE_RTOL, MatrixError, as_matrix, hermitize
 from .observables import PAULI, ObservableBasis, pauli_basis, standard_basis
 
 # Accumulated rounding across d^2-term sums; eigenvalues below this floor
@@ -68,15 +68,29 @@ class BlockCovarianceMatrix:
         bot = np.hstack([self.c.T.astype(self.b.dtype), self.b])
         return np.vstack([top, bot])
 
+    def traceless_part(self) -> np.ndarray:
+        """Assembled CM without the rows and columns of each basis's first
+        element; for bases led by the identity these vanish."""
+        na = len(self.basis_a)
+        keep = [i for i in range(na + len(self.basis_b)) if i not in (0, na)]
+        return self.assembled()[np.ix_(keep, keep)]
+
 
 def second_moments(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Matrix of <M_i M_j> = tr(rho M_i M_j)."""
-    rm = np.einsum("ab,ibc->iac", rho, ops, optimize=True)
-    return np.einsum("iab,jba->ij", rm, ops, optimize=True)
+    """Matrix of <M_i M_j> = tr(rho M_i M_j), as one matmul of the
+    flattened M_j against the flattened (rho M_i)^T.
+
+    Summing over (b, a) in that order reproduces the former einsum bit for
+    bit on the sparse Gell-Mann-like bases."""
+    k, d = ops.shape[:2]
+    prod_t = (rho @ ops).transpose(0, 2, 1).reshape(k, d * d)
+    return (ops.reshape(k, d * d) @ prod_t.T).T
 
 
 def first_moments(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("ab,iba->i", rho, ops, optimize=True))
+    """Vector of Re tr(rho M_i)."""
+    k, d = ops.shape[:2]
+    return np.real(ops.transpose(0, 2, 1).reshape(k, d * d) @ rho.ravel())
 
 
 def _check_cm_psd(matrix: np.ndarray, what: str) -> None:
@@ -94,10 +108,14 @@ def build_cm(rho, basis: ObservableBasis, kind: str = "symmetric") -> Covariance
     The symmetric kind replaces the first term by the anticommutator mean
     and is real; both kinds are positive semidefinite for valid states.
     """
-    r = hermitize(rho, rtol=1e-10)
+    r = hermitize(rho, rtol=STATE_RTOL)
     d = basis.dim
     if r.shape != (d, d):
         raise MatrixError(f"state shape {r.shape} does not match basis dim {d}")
+    return _cm(r, basis, kind)
+
+
+def _cm(r: np.ndarray, basis: ObservableBasis, kind: str) -> CovarianceMatrix:
     g = second_moments(r, basis.ops)
     m = first_moments(r, basis.ops)
     if kind == "symmetric":
@@ -117,15 +135,16 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
                    kind: str = "symmetric") -> BlockCovarianceMatrix:
     """Block covariance matrix of a bipartite state over local bases."""
     da, db = basis_a.dim, basis_b.dim
-    r = hermitize(rho, rtol=1e-10)
+    r = hermitize(rho, rtol=STATE_RTOL)
     if r.shape != (da * db, da * db):
         raise MatrixError(
             f"state shape {r.shape} does not match dims {da}x{db}"
         )
+    # marginals of an exactly Hermitian matrix are exactly Hermitian
     rho_a = matlin.partial_trace(r, (da, db), keep="A")
     rho_b = matlin.partial_trace(r, (da, db), keep="B")
-    cm_a = build_cm(rho_a, basis_a, kind)
-    cm_b = build_cm(rho_b, basis_b, kind)
+    cm_a = _cm(rho_a, basis_a, kind)
+    cm_b = _cm(rho_b, basis_b, kind)
     joint = matlin.joint_moments(r, basis_a.ops, basis_b.ops)
     c = joint - np.outer(cm_a.first_moments, cm_b.first_moments)
     bcm = BlockCovarianceMatrix(
@@ -328,7 +347,7 @@ def bloch_invert(rho, side: str = "A") -> tuple[np.ndarray, float]:
     block CM invariant.  The output need not be positive semidefinite; its
     minimal eigenvalue is returned alongside.
     """
-    r = hermitize(rho, rtol=1e-10)
+    r = hermitize(rho, rtol=STATE_RTOL)
     if r.shape != (4, 4):
         raise MatrixError("Bloch inversion is defined for two-qubit states")
     if side not in ("A", "B"):
@@ -352,10 +371,7 @@ def two_qubit_effective_cm(rho) -> np.ndarray:
     """6x6 symmetric block CM of a two-qubit state over the traceless Pauli
     observables sigma_k/sqrt2 (identity rows and columns vanish)."""
     basis = pauli_basis()
-    bcm = build_block_cm(rho, basis, basis, kind="symmetric")
-    full = bcm.assembled()
-    keep = [1, 2, 3, 5, 6, 7]
-    return full[np.ix_(keep, keep)]
+    return build_block_cm(rho, basis, basis, kind="symmetric").traceless_part()
 
 
 def standard_block_cm(rho, dims: tuple[int, int],

@@ -4,15 +4,16 @@ exactly when the state is flagged entangled."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import filtering, matlin, sdpsolve
-from .covariance import build_block_cm, transform_block_cm, two_qubit_effective_cm
-from .matlin import MatrixError, hermitize
+from .covariance import BlockCovarianceMatrix, build_block_cm, transform_block_cm
+from .matlin import STATE_RTOL, MatrixError, hermitize
 from .observables import PAULI, gellmann_like_basis
-from .schmidt import operator_schmidt
+from .schmidt import SchmidtOperatorDecomposition, operator_schmidt
 
 EPS_MARGIN = 1e-9
 SDP_EPS_MARGIN = 1e-7
@@ -81,6 +82,56 @@ class LurSet:
     bound: float = 1.0
 
 
+class PreparedState:
+    """A bipartite state as the criteria see it: checked once, with every
+    quantity that several criteria share computed on first use and kept.
+
+    Every criterion accepts one in place of ``rho``.  ``run_all`` builds one
+    per call; a caller that evaluates criteria one at a time on the same
+    state can build one and pass it to each.
+    """
+
+    def __init__(self, rho, dims: tuple[int, int]):
+        self._raw = rho
+        self.dims = (int(dims[0]), int(dims[1]))
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """The state, checked Hermitian and of shape dA dB x dA dB, made
+        exactly Hermitian."""
+        r = hermitize(self._raw, rtol=STATE_RTOL)
+        n = self.dims[0] * self.dims[1]
+        if r.shape != (n, n):
+            raise MatrixError(f"state shape {r.shape} does not match dims {self.dims}")
+        return r
+
+    @functools.cached_property
+    def pt_min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the partial transpose over B."""
+        pt = matlin.partial_transpose(self.rho, self.dims, side="B")
+        return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+
+    @functools.cached_property
+    def block_cm(self) -> BlockCovarianceMatrix:
+        """Symmetric block CM over the Gell-Mann-like bases of both sides."""
+        da, db = self.dims
+        return build_block_cm(self.rho, gellmann_like_basis(da),
+                              gellmann_like_basis(db), kind="symmetric")
+
+    @functools.cached_property
+    def schmidt(self) -> SchmidtOperatorDecomposition:
+        """Operator Schmidt decomposition."""
+        return operator_schmidt(self.rho, *self.dims)
+
+
+def _prepared(rho, dims: tuple[int, int]) -> PreparedState:
+    if not isinstance(rho, PreparedState):
+        return PreparedState(rho, dims)
+    if rho.dims != (int(dims[0]), int(dims[1])):
+        raise MatrixError(f"prepared state has dims {rho.dims}, not {tuple(dims)}")
+    return rho
+
+
 def _verdict(name: str, margin: float, details: dict,
              eps: float = EPS_MARGIN) -> CriterionVerdict:
     return CriterionVerdict(name=name, detected=bool(margin > eps),
@@ -91,45 +142,34 @@ def _verdict(name: str, margin: float, details: dict,
 def ppt(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Positivity of the partial transpose; margin is minus its smallest
     eigenvalue."""
-    r = hermitize(rho, rtol=1e-10)
-    pt = matlin.partial_transpose(r, dims, side="B")
-    wmin = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+    wmin = _prepared(rho, dims).pt_min_eigenvalue
     return _verdict("ppt", -wmin, {"min_eigenvalue": wmin})
 
 
 def ccnr(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Realignment test: the operator Schmidt coefficients of a separable
     state sum to at most one."""
-    dec = operator_schmidt(rho, *dims)
-    total = float(np.sum(dec.lambdas))
+    total = float(np.sum(_prepared(rho, dims).schmidt.lambdas))
     return _verdict("ccnr", total - 1.0, {"schmidt_sum": total})
 
 
 def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Bloch-representation test: trace norm of the traceless-sector joint
     moments against sqrt((1-1/dA)(1-1/dB))."""
-    da, db = dims
-    basis_a = gellmann_like_basis(da)
-    basis_b = gellmann_like_basis(db)
-    r = hermitize(rho, rtol=1e-10)
-    if r.shape != (da * db, da * db):
-        raise MatrixError(f"state shape {r.shape} does not match dims {dims}")
-    joint = matlin.joint_moments(r, basis_a.ops[1:], basis_b.ops[1:])
+    st = _prepared(rho, dims)
+    da, db = st.dims
+    joint = matlin.joint_moments(st.rho, gellmann_like_basis(da).ops[1:],
+                                 gellmann_like_basis(db).ops[1:])
     norm = matlin.trace_norm(joint)
     bound = np.sqrt((1.0 - 1.0 / da) * (1.0 - 1.0 / db))
     return _verdict("de_vicente", norm - bound,
                     {"bloch_trace_norm": norm, "bound": float(bound)})
 
 
-def _block_cm(rho, dims):
-    return build_block_cm(rho, gellmann_like_basis(dims[0]),
-                          gellmann_like_basis(dims[1]), kind="symmetric")
-
-
 def cmc_singular_values(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """||C||_tr^2 <= (1 - tr rho_A^2)(1 - tr rho_B^2) for separable states;
     basis independent by local orthogonal invariance of the trace norm."""
-    bcm = _block_cm(rho, dims)
+    bcm = _prepared(rho, dims).block_cm
     norm = matlin.trace_norm(bcm.c)
     bound = np.sqrt(max((1.0 - bcm.purity_a) * (1.0 - bcm.purity_b), 0.0))
     return _verdict("cmc_singular_values", norm - bound,
@@ -148,13 +188,16 @@ def cmc_trace(rho, dims: tuple[int, int],
     bare diagonal sum over J (a valid, weaker bound).  ``index_set`` selects
     J explicitly; the default takes the largest rotated diagonal entries.
     """
-    da, db = dims
-    swapped = False
-    if da > db:
-        rho = matlin.swap_subsystems(hermitize(rho, rtol=1e-10), (da, db))
+    st = _prepared(rho, dims)
+    da, db = st.dims
+    swapped = da > db
+    if swapped:
+        # the CM of the swapped state, not the shared one transposed: the
+        # last rotated B direction is a null singular vector of C that only
+        # rounding picks, so transposing C would move the bound
+        st = PreparedState(matlin.swap_subsystems(st.rho, (da, db)), (db, da))
         da, db = db, da
-        swapped = True
-    bcm = _block_cm(rho, (da, db))
+    bcm = st.block_cm
     u, sing, vt = np.linalg.svd(bcm.c)
     rot = transform_block_cm(bcm, u.T, vt)
     na = da * da
@@ -182,7 +225,7 @@ def cmc_trace(rho, dims: tuple[int, int],
 def cmc_schmidt(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Trace test in the operator Schmidt basis:
     2 sum |l_k - l_k^2 gA_k gB_k| <= 2 - sum l_k^2 (gA_k^2 + gB_k^2)."""
-    dec = operator_schmidt(rho, *dims)
+    dec = _prepared(rho, dims).schmidt
     lam, ga, gb = dec.lambdas, dec.g_a, dec.g_b
     lhs = 2.0 * float(np.sum(np.abs(lam - lam**2 * ga * gb)))
     rhs = 2.0 - float(np.sum(lam**2 * (ga**2 + gb**2)))
@@ -199,7 +242,7 @@ def cmc_kyfan_weyl(rho, dims: tuple[int, int], s: int = 1) -> CriterionVerdict:
         raise MatrixError("Ky-Fan refinement needs equal local dimensions")
     if not 1 <= s <= da - 1:
         raise MatrixError(f"shift s={s} outside [1, {da - 1}]")
-    bcm = _block_cm(rho, dims)
+    bcm = _prepared(rho, dims).block_cm
     k = da * da - da + 1 + s
     c_norm = matlin.ky_fan_norm(bcm.c, k)
     a_term = k * matlin.operator_norm(bcm.a) - s
@@ -232,14 +275,30 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
                noise_eps: float = filtering.DEFAULT_NOISE_EPS) -> CriterionVerdict:
     """Bring the state to its filter normal form and test the coefficient
     sum against d^2 - d (equal dimensions) or the two uneven-dimension
-    bounds; necessary and sufficient for two qubits."""
-    da, db = dims
-    r = hermitize(rho, rtol=1e-10)
-    swapped = False
-    if da > db:
+    bounds; necessary and sufficient for two qubits.
+
+    A PPT state of rank at most max(dA, dB) is separable (Horodecki,
+    Lewenstein, Vidal & Cirac 2000), so such a state is not filtered: its
+    margin is that of the unfiltered coefficients against the de Vicente
+    bound, with ``details["separable_by"] = "low_rank_ppt"``.
+    """
+    st = _prepared(rho, dims)
+    da, db = st.dims
+    r = st.rho
+    swapped = da > db
+    if swapped:
         r = matlin.swap_subsystems(r, (da, db))
         da, db = db, da
-        swapped = True
+    if (int(np.sum(np.linalg.eigvalsh(r) > noise_eps)) <= db
+            and not ppt(st, st.dims).detected):
+        xi = filtering.normal_form_coefficients(r / np.real(np.trace(r)), (da, db))
+        total = float(np.sum(xi))
+        bound = filter_xi_bound((da, db), converged=False)
+        return CriterionVerdict(
+            name="cmc_filter", detected=False, margin=total - bound,
+            details={"xi": xi, "xi_sum": total, "bound": bound,
+                     "converged": False, "iterations": 0,
+                     "separable_by": "low_rank_ppt", "swapped": swapped})
     nf = filtering.normal_form(r, (da, db), tol=tol, max_iter=max_iter,
                                noise_eps=noise_eps)
     total = float(np.sum(nf.xi))
@@ -318,7 +377,7 @@ def extract_lur_from_witness(z1: np.ndarray, cutoff: float = 1e-12) -> LurSet:
 
 def lur_value(rho, ops_a, ops_b) -> float:
     """sum_k Var(A_k x 1 + 1 x B_k) on the given state."""
-    r = hermitize(rho, rtol=1e-10)
+    r = hermitize(rho, rtol=STATE_RTOL)
     ops_a = np.asarray(ops_a, dtype=complex)
     ops_b = np.asarray(ops_b, dtype=complex)
     if len(ops_a) != len(ops_b):
@@ -341,10 +400,10 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
     """Exact two-qubit covariance-matrix test as a semidefinite program; the
     dual solution doubles as a CM-witness and yields violating local
     uncertainty observables for every detected state."""
-    r = hermitize(rho, rtol=1e-10)
-    if r.shape != (4, 4):
-        raise MatrixError("the SDP criterion is defined for two-qubit states")
-    gamma_eff = two_qubit_effective_cm(r)
+    st = _prepared(rho, (2, 2))
+    # the Gell-Mann-like basis for d = 2 is the Pauli basis, so this equals
+    # covariance.two_qubit_effective_cm(rho)
+    gamma_eff = st.block_cm.traceless_part()
     problem = _two_qubit_sdp_problem(gamma_eff)
     sol = sdpsolve.solve(problem, tol=tol, max_iter=max_iter)
     if sol.status != "optimal":
@@ -366,7 +425,7 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
         "lur_ops_a": lur.ops_a,
         "lur_ops_b": lur.ops_b,
         "lur_bound": lur.bound,
-        "lur_value": lur_value(r, lur.ops_a, lur.ops_b),
+        "lur_value": lur_value(st.rho, lur.ops_a, lur.ops_b),
         "gap": sol.gap,
         "iterations": sol.iterations,
         "solver_attempts": sol.attempts,
@@ -383,36 +442,27 @@ CRITERION_ORDER = ("ppt", "ccnr", "de_vicente", "cmc_singular_values",
 
 def run_all(rho, dims: tuple[int, int],
             criteria: list[str] | None = None) -> list[CriterionVerdict]:
-    """Evaluate every applicable criterion in a fixed order.
+    """Evaluate every applicable criterion in a fixed order, all on one
+    PreparedState.
 
     The Ky-Fan family expands to one verdict per shift s; the SDP only runs
     on two qubits.
     """
-    da, db = dims
-    wanted = list(CRITERION_ORDER) if criteria is None else list(criteria)
+    st = _prepared(rho, dims)
+    da, db = st.dims
+    wanted = list(CRITERION_ORDER if criteria is None else criteria)
+    for name in wanted:
+        if name not in CRITERION_ORDER:
+            raise MatrixError(f"unknown criterion {name!r}")
     out: list[CriterionVerdict] = []
     for name in wanted:
-        if name == "ppt":
-            out.append(ppt(rho, dims))
-        elif name == "ccnr":
-            out.append(ccnr(rho, dims))
-        elif name == "de_vicente":
-            out.append(de_vicente(rho, dims))
-        elif name == "cmc_singular_values":
-            out.append(cmc_singular_values(rho, dims))
-        elif name == "cmc_trace":
-            out.append(cmc_trace(rho, dims))
-        elif name == "cmc_schmidt":
-            out.append(cmc_schmidt(rho, dims))
-        elif name == "cmc_kyfan_weyl":
+        # looked up by name at call time, so rebinding a criterion applies
+        if name == "cmc_kyfan_weyl":
             if da == db:
-                for s in range(1, da):
-                    out.append(cmc_kyfan_weyl(rho, dims, s=s))
-        elif name == "cmc_filter":
-            out.append(cmc_filter(rho, dims))
+                out += [cmc_kyfan_weyl(st, st.dims, s=s) for s in range(1, da)]
         elif name == "cmc_sdp_2q":
             if (da, db) == (2, 2):
-                out.append(cmc_sdp_2q(rho))
+                out.append(cmc_sdp_2q(st))
         else:
-            raise MatrixError(f"unknown criterion {name!r}")
+            out.append(globals()[name](st, st.dims))
     return out

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import MatrixError, hermitize
+from .matlin import STATE_RTOL, MatrixError, hermitize
 from .observables import gellmann_like_basis
 
 DEFAULT_TOL = 1e-10
@@ -49,9 +49,9 @@ class NormalForm:
 def f_rho(rho, rho_a, rho_b) -> float:
     """Overlap tr[rho (rho_A x rho_B)] over the determinant normalizers
     (det rho_A)^(1/d_A) (det rho_B)^(1/d_B); diverges on the boundary."""
-    r = hermitize(rho, rtol=1e-10)
-    ra = hermitize(rho_a, rtol=1e-10)
-    rb = hermitize(rho_b, rtol=1e-10)
+    r = hermitize(rho, rtol=STATE_RTOL)
+    ra = hermitize(rho_a, rtol=STATE_RTOL)
+    rb = hermitize(rho_b, rtol=STATE_RTOL)
     da, db = ra.shape[0], rb.shape[0]
     if r.shape != (da * db, da * db):
         raise MatrixError("state shape does not match the marginal dimensions")
@@ -99,7 +99,7 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     """
     da, db = int(dims[0]), int(dims[1])
     n = da * db
-    r = hermitize(rho, rtol=1e-10)
+    r = hermitize(rho, rtol=STATE_RTOL)
     if r.shape != (n, n):
         raise MatrixError(f"state shape {r.shape} does not match dims {dims}")
     applied_eps = 0.0

@@ -17,6 +17,10 @@ import numpy as np
 # symmetrized and handed to the eigensolver.
 HERMITICITY_RTOL = 1e-12
 
+# Looser tolerance for density matrices, which arrive from state files and
+# generators with accumulated rounding.
+STATE_RTOL = 1e-10
+
 
 class MatrixError(ValueError):
     """An input matrix violates a kernel precondition."""
@@ -92,11 +96,6 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     return u, s, vh.conj().T
-
-
-def singular_values(m) -> np.ndarray:
-    a = as_matrix(m)
-    return np.linalg.svd(a, compute_uv=False)
 
 
 def ky_fan_norm(m, k: int) -> float:

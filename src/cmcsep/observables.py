@@ -99,10 +99,13 @@ PAULI = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def pauli_basis() -> ObservableBasis:
-    """{1, sigma_x, sigma_y, sigma_z} / sqrt(2), in that order."""
-    ops = np.array([PAULI[k] / np.sqrt(2) for k in "IXYZ"])
-    return ObservableBasis(dim=2, ops=ops, kind="pauli")
+    """{1, sigma_x, sigma_y, sigma_z} / sqrt(2), in that order.
+
+    Cached; the returned ``ops`` array is read-only."""
+    ops = [PAULI[k] / np.sqrt(2) for k in "IXYZ"]
+    return ObservableBasis(dim=2, ops=_read_only(ops), kind="pauli")
 
 
 @functools.lru_cache(maxsize=32)

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matlin import MatrixError, hermitize, joint_moments
+from .matlin import (STATE_RTOL, MatrixError, hermitize, joint_moments,
+                     swap_subsystems)
 from .observables import standard_basis
 
 
@@ -40,27 +41,22 @@ def operator_schmidt(rho, d_a: int, d_b: int) -> SchmidtOperatorDecomposition:
     The coefficients lambda_k equal the singular values of the realignment of
     rho; signs are absorbed into the B-side operators.
     """
-    r = hermitize(rho, rtol=1e-10)
+    r = hermitize(rho, rtol=STATE_RTOL)
     if r.shape != (d_a * d_b, d_a * d_b):
         raise MatrixError(f"state shape {r.shape} does not match dims {d_a}x{d_b}")
-    if d_a > d_b:
-        from .matlin import swap_subsystems
-
-        dec = operator_schmidt(swap_subsystems(r, (d_a, d_b)), d_b, d_a)
-        return SchmidtOperatorDecomposition(
-            lambdas=dec.lambdas, ops_a=dec.ops_b, ops_b=dec.ops_a,
-            g_a=dec.g_b, g_b=dec.g_a, swapped=True)
+    swapped = d_a > d_b
+    if swapped:
+        r = swap_subsystems(r, (d_a, d_b))
+        d_a, d_b = d_b, d_a
     basis_a = standard_basis(d_a)
     basis_b = standard_basis(d_b)
     xi = joint_moments(r, basis_a.ops, basis_b.ops)
     u, s, vt = np.linalg.svd(xi)
     ops_a = np.einsum("ik,iab->kab", u, basis_a.ops)
     ops_b = np.einsum("jk,jab->kab", vt.T[:, : d_a * d_a], basis_b.ops)
-    return SchmidtOperatorDecomposition(
-        lambdas=s,
-        ops_a=ops_a,
-        ops_b=ops_b,
-        g_a=np.real(np.einsum("kaa->k", ops_a)),
-        g_b=np.real(np.einsum("kaa->k", ops_b)),
-        swapped=False,
-    )
+    g_a = np.real(np.einsum("kaa->k", ops_a))
+    g_b = np.real(np.einsum("kaa->k", ops_b))
+    if swapped:
+        ops_a, ops_b, g_a, g_b = ops_b, ops_a, g_b, g_a
+    return SchmidtOperatorDecomposition(lambdas=s, ops_a=ops_a, ops_b=ops_b,
+                                        g_a=g_a, g_b=g_b, swapped=swapped)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matlin import MatrixError, as_matrix
+from .matlin import STATE_RTOL, MatrixError, as_matrix
 
 # Eigenvalues in (-PSD_CLIP, 0) are treated as rounding and clipped; anything
 # more negative is a generator error.
@@ -21,7 +21,7 @@ def validate_density(rho, dims: tuple[int, int] | None = None) -> np.ndarray:
         raise MatrixError(f"density matrix must be square, got {r.shape}")
     if dims is not None and n != dims[0] * dims[1]:
         raise MatrixError(f"size {n} does not match dims {dims}")
-    if np.max(np.abs(r - r.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(r))):
+    if np.max(np.abs(r - r.conj().T)) > STATE_RTOL * max(1.0, np.max(np.abs(r))):
         raise MatrixError("density matrix is not Hermitian")
     tr = complex(np.trace(r))
     if abs(tr - 1.0) > 1e-10:

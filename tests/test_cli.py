@@ -243,3 +243,30 @@ def test_detect_cm_export_pauli_needs_qubits(tmp_path, capsys):
     write_statefile(str(path), np.eye(9) / 9, (3, 3))
     assert run_cli(["detect", str(path), "--criteria", "ppt",
                     "--basis", "pauli"]) == 2
+
+
+def test_parser_built_once_and_stateless(tmp_path, capsys, monkeypatch):
+    """main reuses one parser; a later call sees none of an earlier call's
+    subcommand or flags."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    path = tmp_path / "w.json"
+    write_statefile(str(path), states.werner_2q(0.9), (2, 2))
+    try:
+        assert run_cli(["detect", str(path), "--criteria", "ppt"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert run_cli(["normal-form", str(path), "--max-iter", "1"]) == 0
+        nf = json.loads(capsys.readouterr().out)
+        assert run_cli(["detect", str(path)]) == 0
+        last = json.loads(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert [v["name"] for v in first] == ["ppt"]
+    assert nf["iterations"] == 1
+    assert [v["name"] for v in last] == [
+        "ppt", "ccnr", "de_vicente", "cmc_singular_values", "cmc_trace",
+        "cmc_schmidt", "cmc_kyfan_weyl_s1", "cmc_filter", "cmc_sdp_2q"]

@@ -319,3 +319,65 @@ def test_cm_json_export():
     bdoc = json.loads(json.dumps(cov.cm_to_json(bcm)))
     assert np.asarray(bdoc["blocks"]["c"]).shape == (4, 4)
     assert bdoc["first_moments"]["a"] is not None
+
+
+def reference_second_moments(rho, ops):
+    """<M_i M_j> as the former path-optimized einsum pair."""
+    rm = np.einsum("ab,ibc->iac", rho, ops, optimize=True)
+    return np.einsum("iab,jba->ij", rm, ops, optimize=True)
+
+
+def reference_first_moments(rho, ops):
+    return np.real(np.einsum("ab,iba->i", rho, ops, optimize=True))
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 9), (4, 5)])
+def test_moments_match_einsum_on_non_hermitian_stacks(d, k):
+    rng = np.random.default_rng([110, d])
+    for _ in range(10):
+        ops = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        np.testing.assert_allclose(cov.second_moments(rho, ops),
+                                   reference_second_moments(rho, ops),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(cov.first_moments(rho, ops),
+                                   reference_first_moments(rho, ops),
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_build_cm_matches_einsum_reference(kind, d):
+    """Both CM kinds from the matmul moments equal those from the einsum,
+    bit for bit on the Gell-Mann-like basis and to rounding on the
+    standard basis."""
+    rng = np.random.default_rng([111, d])
+    for basis, exact in ((gellmann_like_basis(d), True), (standard_basis(d), False)):
+        for _ in range(10):
+            rho = matlin.hermitize(states.random_density(d, rng=rng))
+            g = reference_second_moments(rho, basis.ops)
+            m = reference_first_moments(rho, basis.ops)
+            ref = (np.real(g) - np.outer(m, m) if kind == "symmetric"
+                   else g - np.outer(m, m))
+            got = cov.build_cm(rho, basis, kind=kind).matrix
+            if exact:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
+
+def test_effective_cm_is_traceless_part_of_gellmann_block_cm():
+    """On two qubits the Gell-Mann-like basis is the Pauli basis, so the
+    effective CM cut from the Gell-Mann block CM is the same array."""
+    rng = np.random.default_rng(112)
+    keep = np.ix_([1, 2, 3, 5, 6, 7], [1, 2, 3, 5, 6, 7])
+    for _ in range(10):
+        rho = states.random_density(4, rng=rng)
+        gm = cov.build_block_cm(rho, gellmann_like_basis(2),
+                                gellmann_like_basis(2), kind="symmetric")
+        pauli = cov.build_block_cm(rho, pauli_basis(), pauli_basis(),
+                                   kind="symmetric")
+        np.testing.assert_array_equal(gm.traceless_part(),
+                                      pauli.assembled()[keep])
+        np.testing.assert_array_equal(cov.two_qubit_effective_cm(rho),
+                                      pauli.assembled()[keep])

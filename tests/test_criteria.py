@@ -323,3 +323,105 @@ def test_verdict_json_roundtrip():
     assert back["name"] == "cmc_sdp_2q"
     assert back["detected"] is True
     assert isinstance(back["details"]["witness_z1"], list)
+
+
+STANDALONE = {"ppt": ppt, "ccnr": ccnr, "de_vicente": de_vicente,
+              "cmc_singular_values": cmc_singular_values,
+              "cmc_trace": cmc_trace, "cmc_schmidt": cmc_schmidt,
+              "cmc_filter": cmc_filter}
+
+
+def standalone(name, rho, dims):
+    if name.startswith("cmc_kyfan_weyl_s"):
+        return cmc_kyfan_weyl(rho, dims, s=int(name[len("cmc_kyfan_weyl_s"):]))
+    if name == "cmc_sdp_2q":
+        return cmc_sdp_2q(rho)
+    return STANDALONE[name](rho, dims)
+
+
+def seeded_states(dims, count=4):
+    """Full-rank random states, separable mixtures, and rank-deficient
+    states of each kind, drawn from one stream per dims."""
+    da, db = dims
+    rng = np.random.default_rng([113, da, db])
+    out = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            out.append(states.random_density(da * db, rng=rng))
+        elif kind == 1:
+            out.append(states.random_separable(da, db, n_terms=10, rng=rng))
+        elif kind == 2:
+            out.append(states.random_density(da * db, rank=2, rng=rng))
+        else:
+            out.append(states.random_separable(da, db, n_terms=2, rng=rng))
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_run_all_matches_each_criterion_alone(dims):
+    for rho in seeded_states(dims):
+        for shared in run_all(rho, dims):
+            alone = standalone(shared.name, rho, dims)
+            assert shared.detected == alone.detected, shared.name
+            assert abs(shared.margin - alone.margin) <= 1e-12, shared.name
+            if shared.name == "cmc_sdp_2q":
+                assert shared.margin == alone.margin
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 2)])
+def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
+    bcm_calls = count_calls(monkeypatch, criteria, "build_block_cm")
+    schmidt_calls = count_calls(monkeypatch, criteria, "operator_schmidt")
+    rho = seeded_states(dims, count=1)[0]
+    verdicts = run_all(rho, dims)
+    assert len(verdicts) == (9 if dims[0] == dims[1] else 7)
+    assert len(schmidt_calls) == 1
+    # with d_A > d_B the trace test builds the CM of the swapped state, as
+    # its rotation is not stable under transposing the shared C
+    assert len(bcm_calls) == (2 if dims == (3, 2) else 1)
+
+
+def test_filter_skips_pure_product_state():
+    """|0>|1> is PPT of rank 1 <= 3: separable without a single sweep."""
+    psi = np.kron(np.eye(3)[0], np.eye(3)[1]).astype(complex)
+    v = cmc_filter(np.outer(psi, psi.conj()), (3, 3))
+    assert v.details["iterations"] == 0
+    assert v.details["separable_by"] == "low_rank_ppt"
+    assert not v.detected
+    assert v.details["bound"] == criteria.filter_xi_bound((3, 3), converged=False)
+    assert v.margin == v.details["xi_sum"] - v.details["bound"] <= 1e-12
+
+
+def test_filter_agrees_with_ppt_on_rank_two_two_qubit_states():
+    rng = np.random.default_rng(114)
+    for _ in range(10):
+        rho = states.random_separable(2, 2, n_terms=2, rng=rng)
+        assert np.sum(np.linalg.eigvalsh(rho) > 1e-9) == 2
+        v = cmc_filter(rho, (2, 2))
+        assert v.details["separable_by"] == "low_rank_ppt"
+        assert not v.detected and not ppt(rho, (2, 2)).detected
+
+
+def test_filter_still_detects_low_rank_npt_states():
+    phi3 = np.eye(9)[[0, 4, 8]].sum(axis=0) / np.sqrt(3)
+    psi_plus = states.projector(states.ket([0, 1, 1, 0]) / np.sqrt(2))
+    bell_mix = 0.7 * states.bell_phi_plus() + 0.3 * psi_plus  # rank 2
+    for rho, dims in ((states.bell_phi_plus(), (2, 2)), (bell_mix, (2, 2)),
+                      (np.outer(phi3, phi3).astype(complex), (3, 3))):
+        assert ppt(rho, dims).detected
+        v = cmc_filter(rho, dims)
+        assert "separable_by" not in v.details
+        assert v.detected

@@ -180,3 +180,12 @@ def test_cached_basis_is_shared_and_read_only(factory):
     with pytest.raises(ValueError, match="read-only"):
         basis.ops[0, 0, 0] = 2.0
     basis.check()
+
+
+def test_pauli_basis_is_shared_and_read_only():
+    basis = obs.pauli_basis()
+    assert obs.pauli_basis() is basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis.ops[1, 0, 1] = 2.0
+    basis.check()
+    np.testing.assert_array_equal(basis.ops, obs.gellmann_like_basis(2).ops)
