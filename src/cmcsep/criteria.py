@@ -12,7 +12,7 @@ import numpy as np
 from . import filtering, matlin, sdpsolve
 from .covariance import BlockCovarianceMatrix, build_block_cm, transform_block_cm
 from .matlin import STATE_RTOL, MatrixError, hermitize
-from .observables import PAULI, gellmann_like_basis
+from .observables import gellmann_like_basis, pauli_basis
 from .schmidt import SchmidtOperatorDecomposition, operator_schmidt
 
 EPS_MARGIN = 1e-9
@@ -363,20 +363,18 @@ def extract_lur_from_witness(z1: np.ndarray, cutoff: float = 1e-12) -> LurSet:
     observables A_k = sqrt(l_k) sum alpha_l sigma_l / sqrt2 and likewise for
     B, reproducing tr(gamma_eff Z1) as the variance sum."""
     w, v = np.linalg.eigh((z1 + z1.T) / 2)
-    paulis = np.array([PAULI[k] / np.sqrt(2) for k in "XYZ"])
-    ops_a = []
-    ops_b = []
-    for k in range(6):
-        if w[k] <= cutoff:
-            continue
-        coeff = np.sqrt(w[k]) * v[:, k]
-        ops_a.append(np.einsum("l,lab->ab", coeff[:3], paulis))
-        ops_b.append(np.einsum("l,lab->ab", coeff[3:], paulis))
-    return LurSet(ops_a=np.array(ops_a), ops_b=np.array(ops_b), bound=1.0)
+    keep = w > cutoff
+    # rows of coeff alternate the A and B halves of each scaled eigenvector
+    coeff = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, 3)
+    ops = (coeff @ pauli_basis().ops[1:].reshape(3, 4)).reshape(-1, 2, 2, 2)
+    return LurSet(ops_a=ops[:, 0], ops_b=ops[:, 1], bound=1.0)
 
 
 def lur_value(rho, ops_a, ops_b) -> float:
-    """sum_k Var(A_k x 1 + 1 x B_k) on the given state."""
+    """sum_k Var(A_k x 1 + 1 x B_k) on the given state, expanded as
+    <A_k^2> + <B_k^2> + 2 <A_k x B_k> - (<A_k> + <B_k>)^2: the local moments
+    come from the marginals, the cross terms from the diagonal of the
+    joint-moment matrix."""
     r = hermitize(rho, rtol=STATE_RTOL)
     ops_a = np.asarray(ops_a, dtype=complex)
     ops_b = np.asarray(ops_b, dtype=complex)
@@ -384,15 +382,18 @@ def lur_value(rho, ops_a, ops_b) -> float:
         raise MatrixError("need matching observable lists")
     if len(ops_a) == 0:
         return 0.0
-    da = ops_a.shape[1]
-    db = ops_b.shape[1]
-    total = 0.0
-    for a, b in zip(ops_a, ops_b):
-        joint = np.kron(a, np.eye(db)) + np.kron(np.eye(da), b)
-        mean = float(np.real(np.trace(r @ joint)))
-        sq = float(np.real(np.trace(r @ joint @ joint)))
-        total += sq - mean**2
-    return total
+    dims = (ops_a.shape[1], ops_b.shape[1])
+
+    def local_moments(ops, keep):
+        # Re tr(rho_X M) = Re sum(rho_X^T * M) for M = O_k and O_k^2
+        rt = matlin.partial_trace(r, dims, keep=keep).T
+        return (np.real(np.sum(rt * ops, axis=(1, 2))),
+                np.real(np.sum(rt * (ops @ ops), axis=(1, 2))))
+
+    mean_a, sq_a = local_moments(ops_a, "A")
+    mean_b, sq_b = local_moments(ops_b, "B")
+    cross = np.diagonal(matlin.joint_moments(r, ops_a, ops_b))
+    return float(np.sum(sq_a + sq_b + 2 * cross - (mean_a + mean_b) ** 2))
 
 
 def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,

@@ -88,30 +88,22 @@ class SdpSolution:
 
 
 def _step_factor(s: np.ndarray) -> np.ndarray:
-    """V diag(w)^-1/2 from the eigendecomposition of a symmetric block.
+    """V diag(w)^-1/2 from the eigendecomposition of a symmetric matrix.
 
-    Eigenvalues are floored at 1e-14 of the largest, so that iterates
-    grazing the cone boundary (rounding-level negative eigenvalues) do not
-    abort the solve.
+    Eigenvalues are floored at 1e-14 of the largest eigenvalue of the whole
+    block-diagonal matrix, so that iterates grazing the cone boundary
+    (rounding-level negative eigenvalues) do not abort the solve.
     """
     w, v = np.linalg.eigh(s)
     floor = max(abs(w[-1]), 1e-300) * 1e-14
     return v / np.sqrt(np.maximum(w, floor))
 
 
-def _max_step(blocks, factors, steps) -> float:
-    """Step fraction of the largest alpha with every block + alpha step > 0,
-    capped at 1, via the eigenproblem scaled by each block's step factor."""
-    alpha = np.inf
-    for s, f, d in zip(blocks, factors, steps):
-        if s.shape[0] == 1:
-            if d[0, 0] < 0:
-                alpha = min(alpha, max(s[0, 0], 0.0) / -d[0, 0])
-            continue
-        wmin = float(np.linalg.eigvalsh(f.T @ d @ f)[0])
-        if wmin < 0:
-            alpha = min(alpha, -1.0 / wmin)
-    return min(1.0, _STEP_FRACTION * alpha)
+def _max_step(f: np.ndarray, d: np.ndarray) -> float:
+    """Step fraction of the largest alpha with s + alpha d > 0, capped at 1,
+    via the eigenproblem scaled by the step factor f of s."""
+    wmin = float(np.linalg.eigvalsh(f.T @ d @ f)[0])
+    return min(1.0, _STEP_FRACTION / -wmin) if wmin < 0 else 1.0
 
 
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
@@ -153,41 +145,45 @@ def _solve_core(problem: SdpProblem, tol: float,
                 max_iter: int) -> SdpSolution:
     m = problem.n_vars
     c = problem.c
-    dims = problem.block_dims
-    ntot = sum(dims)
-    starts = np.cumsum([0] + [nb * nb for nb in dims]).tolist()
+    ntot = sum(problem.block_dims)
+    ends = np.cumsum(problem.block_dims).tolist()
+    blocks = [slice(e - nb, e) for e, nb in zip(ends, problem.block_dims)]
 
-    # Matrices live as vec(.), their row-major blocks stacked; split() gives
-    # the blocks back as views.
-    def split(v):
-        return [v[a:a + nb * nb].reshape(nb, nb) for a, nb in zip(starts, dims)]
+    # S, Z and the F_i are iterated as dense block-diagonal ntot x ntot
+    # matrices.  Products and inverses keep the off-block entries exactly
+    # zero, and the step tests need only eigenvalues, which are those of
+    # the blocks together.
+    def embed(mats, lead=()):
+        out = np.zeros(lead + (ntot, ntot))
+        for sl, b in zip(blocks, mats):
+            out[..., sl, sl] = b
+        return out
 
-    def vec(blocks):
-        return np.concatenate([b.ravel() for b in blocks])
-
-    def sym_vec(blocks):
-        return vec([(b + b.T) / 2 for b in blocks])
-
+    f0 = embed(problem.f0_blocks)
+    fi = embed(problem.fi_blocks, (m,))
     # Constraint matrix of the dual equalities tr(F_i Z) = c_i over vec(Z),
     # so F(x) = F0 + x @ amat and A*(Z) = amat @ vec(Z).  Dual steps are
     # re-projected onto it exactly, so roundoff from the (increasingly
     # ill-conditioned) Schur solves never accumulates in the dual residual.
-    f0vec = vec(problem.f0_blocks)
-    amat = np.hstack([f.reshape(m, nb * nb)
-                      for f, nb in zip(problem.fi_blocks, dims)])
+    f0vec = f0.ravel()
+    amat = fi.reshape(m, ntot * ntot)
     scale = max(1.0, float(np.max(np.abs(f0vec))),
                 float(np.max(np.abs(c))) if m else 1.0)
     gram = amat @ amat.T + 1e-12 * scale**2 * np.eye(m)
 
+    def sym(a):
+        return (a + a.T) / 2
+
     def project_dz(dz, target):
-        return sym_vec(split(
-            dz + amat.T @ np.linalg.solve(gram, target - amat @ dz)))
+        d = dz.ravel()
+        return sym((d + amat.T @ np.linalg.solve(gram, target - amat @ d))
+                   .reshape(ntot, ntot))
 
     def residuals(xv, sv, zv):
-        return f0vec + xv @ amat - sv, c - amat @ zv
+        return f0 + (xv @ amat).reshape(ntot, ntot) - sv, c - amat @ zv.ravel()
 
     x = np.zeros(m)
-    s = scale * vec([np.eye(nb) for nb in dims])
+    s = scale * np.eye(ntot)
     z = s.copy()
     status = "max_iter"
     it = 0
@@ -196,9 +192,9 @@ def _solve_core(problem: SdpProblem, tol: float,
     since_best = 0
     for it in range(1, max_iter + 1):
         rp, rd = residuals(x, s, z)
-        mu = float(s @ z) / ntot
+        mu = float(np.vdot(s, z)) / ntot
         rd_norm = float(np.max(np.abs(rd))) if m else 0.0
-        gap = float(c @ x + f0vec @ z)
+        gap = float(c @ x + f0vec @ z.ravel())
         metric = max(float(np.max(np.abs(rp))), rd_norm, abs(gap)) / scale
         if metric < best_metric:
             best_metric = metric
@@ -212,65 +208,53 @@ def _solve_core(problem: SdpProblem, tol: float,
         if mu < 1e-13 * scale or since_best >= 30:
             break  # numerical floor reached; fall back to the best iterate
 
-        sb, zb = split(s), split(z)
         # Farkas check: a scaled dual ray with A*(Z) ~ 0 and tr(F0 Z) < 0
         # bounds the primal objective away from every feasible value.
-        znorm = sum(float(np.linalg.norm(b)) for b in zb)
+        znorm = sum(float(np.linalg.norm(z[sl, sl])) for sl in blocks)
         if znorm > 1e8 * scale:
             zray = z / znorm
-            if (float(np.max(np.abs(amat @ zray))) <= 1e-9
-                    and f0vec @ zray < -_INFEASIBILITY_MARGIN):
+            if (float(np.max(np.abs(amat @ zray.ravel()))) <= 1e-9
+                    and f0vec @ zray.ravel() < -_INFEASIBILITY_MARGIN):
                 z = zray
                 status = "infeasible"
                 break
 
-        sinv = [np.linalg.inv(b) for b in sb]
-        # Schur complement M_ij = sum_b tr(F_i S^-1 F_j Z), contracted as
-        # amat against vec(S^-1 F_j Z) (the F_i are symmetric), symmetrized
-        mmat = amat @ np.hstack([
-            (si @ f @ zz).reshape(m, zz.size)
-            for si, f, zz in zip(sinv, problem.fi_blocks, zb)]).T
-        mmat = (mmat + mmat.T) / 2
+        sinv = np.linalg.inv(s)
+        # Schur complement M_ij = tr(F_i S^-1 F_j Z), contracted as amat
+        # against vec(S^-1 F_j Z) (the F_i are symmetric), symmetrized
+        mmat = sym(amat @ (sinv @ fi @ z).reshape(m, ntot * ntot).T)
         mmat += 1e-13 * scale * np.eye(m)
         # step-length factors of the current S and Z, shared by all directions
-        sfac = [_step_factor(b) for b in sb]
-        zfac = [_step_factor(b) for b in zb]
+        sfac, zfac = _step_factor(s), _step_factor(z)
 
         def direction(sigma_mu, corr=None):
             # HKM: W(D) = sigma_mu S^-1 - Z - S^-1 D Z [- S^-1 corr]; the
             # right-hand side is A*(W(Rp)) - rd and dZ = sym W(dS).  As the
             # F_i are symmetric, tr(F_i W^T) = amat[i] @ vec(W).
-            base = [sigma_mu * si - zz for si, zz in zip(sinv, zb)]
+            base = sigma_mu * sinv - z
             if corr is not None:
-                base = [w - si @ k for w, si, k in zip(base, sinv, corr)]
-
-            def w_blocks(d):
-                return [w - si @ db @ zz
-                        for w, si, db, zz in zip(base, sinv, split(d), zb)]
-
-            rhs = amat @ vec(w_blocks(rp)) - rd
+                base = base - sinv @ corr
+            rhs = amat @ (base - sinv @ rp @ z).ravel() - rd
             try:
                 dx = np.linalg.solve(mmat, rhs)
                 dx += np.linalg.solve(mmat, rhs - mmat @ dx)  # refinement
             except np.linalg.LinAlgError:
                 dx = np.linalg.lstsq(mmat, rhs, rcond=None)[0]
-            ds = dx @ amat + rp
-            return dx, ds, project_dz(sym_vec(w_blocks(ds)), rd)
+            ds = (dx @ amat).reshape(ntot, ntot) + rp
+            return dx, ds, project_dz(sym(base - sinv @ ds @ z), rd)
 
         def steps(ds, dz):
-            return (_max_step(sb, sfac, split(ds)),
-                    _max_step(zb, zfac, split(dz)))
+            return _max_step(sfac, ds), _max_step(zfac, dz)
 
         # predictor
         dx_a, ds_a, dz_a = direction(0.0)
         ap, ad = steps(ds_a, dz_a)
-        mu_aff = float((s + ap * ds_a) @ (z + ad * dz_a)) / ntot
+        mu_aff = float(np.vdot(s + ap * ds_a, z + ad * dz_a)) / ntot
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-6)) if mu > 0 else 0.1
         # keep mu above what the gap tolerance needs; driving it further
         # amplifies the Schur system and erodes dual feasibility
         mu_floor = 0.1 * tol * scale / ntot
-        corr = [d @ e for d, e in zip(split(ds_a), split(dz_a))]
-        dx, ds, dz = direction(max(sigma * mu, mu_floor), corr=corr)
+        dx, ds, dz = direction(max(sigma * mu, mu_floor), corr=ds_a @ dz_a)
         ap, ad = steps(ds, dz)
         if min(ap, ad) < 0.05:
             # iterate has drifted off the central path and the Mehrotra step
@@ -288,11 +272,11 @@ def _solve_core(problem: SdpProblem, tol: float,
         x, s, z = best_state
     rp, rd = residuals(x, s, z)
     primal_obj = float(c @ x)
-    dual_obj = -float(f0vec @ z)
+    dual_obj = -float(f0vec @ z.ravel())
     return SdpSolution(
         x=x,
-        z_blocks=split(z),
-        s_blocks=split(s),
+        z_blocks=[z[sl, sl] for sl in blocks],
+        s_blocks=[s[sl, sl] for sl in blocks],
         primal_objective=primal_obj,
         dual_objective=dual_obj,
         gap=primal_obj - dual_obj,

@@ -268,6 +268,48 @@ def test_infeasible_problem_certificate():
     assert np.tensordot(prob.f0_blocks[0], zray, axes=2) < 0
 
 
+def _lp_and_eigen_problem(a: np.ndarray, lp_first: bool) -> SdpProblem:
+    """min t subject to t >= 2 (a 1x1 block) and t 1 - A >= 0 (a 3x3 block),
+    whose optimum is max(2, lambda_max(A))."""
+    blocks = [(np.array([[-2.0]]), np.ones((1, 1, 1))),
+              (-a, np.eye(3)[None, :, :])]
+    if not lp_first:
+        blocks.reverse()
+    return SdpProblem(c=np.array([1.0]), f0_blocks=[b[0] for b in blocks],
+                      fi_blocks=[b[1] for b in blocks])
+
+
+@pytest.mark.parametrize("lp_first", [True, False])
+@pytest.mark.parametrize("shift", [-3.0, 3.0])
+def test_mixed_lp_and_matrix_blocks(lp_first, shift):
+    """A 1x1 block next to a 3x3 block, with the active constraint in either
+    one; the blocks come back in the problem's order and shapes."""
+    g = np.random.default_rng(94).normal(size=(3, 3))
+    a = (g + g.T) / 2
+    a += (shift - np.linalg.eigvalsh(a)[-1]) * np.eye(3)  # lambda_max = shift
+    prob = _lp_and_eigen_problem(a, lp_first)
+    sol = solve(prob)
+    assert sol.status == "optimal"
+    assert abs(sol.x[0] - max(2.0, shift)) < 1e-6
+    assert abs(sol.gap) <= 1e-8
+    shapes = [(1, 1), (3, 3)] if lp_first else [(3, 3), (1, 1)]
+    assert [b.shape for b in sol.s_blocks] == shapes
+    assert [b.shape for b in sol.z_blocks] == shapes
+    for f0, fi, sb, zb in zip(prob.f0_blocks, prob.fi_blocks,
+                              sol.s_blocks, sol.z_blocks):
+        assert np.max(np.abs(f0 + sol.x[0] * fi[0] - sb)) < 1e-7
+        assert np.linalg.eigvalsh(zb)[0] > -1e-9
+    # the dual weight sits on the active block: tr(Z_lp) + tr(Z_eig) = 1
+    z_lp, z_eig = sol.z_blocks if lp_first else sol.z_blocks[::-1]
+    active, idle = (z_lp, z_eig) if shift < 2 else (z_eig, z_lp)
+    assert abs(np.trace(active) - 1.0) < 1e-6
+    assert abs(np.trace(idle)) < 1e-6
+    ref = reference_solve_core(prob, sdpsolve.DEFAULT_TOL,
+                               sdpsolve.DEFAULT_MAX_ITER)
+    assert ref.status == sol.status
+    assert abs(ref.x[0] - sol.x[0]) <= 1e-7
+
+
 def test_singlet_cmc_negative_lambda():
     """The singlet must violate the two-qubit CMC; cross-checked against
     the partial-transpose and filter verdicts."""
