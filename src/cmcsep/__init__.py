@@ -14,7 +14,6 @@ from .covariance import (
     two_qubit_effective_cm,
 )
 from .criteria import (
-    CmWitness,
     CriterionVerdict,
     LurSet,
     PreparedState,

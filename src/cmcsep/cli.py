@@ -402,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normal-form", help="filter a state to its normal form")
     p.add_argument("statefile")
-    p.add_argument("--tol", type=float, default=filtering.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=filtering.DEFAULT_TOL,
+                   help="stop once every entry of both marginals is within "
+                        "this of maximally mixed (default %(default)g)")
     p.add_argument("--max-iter", type=int, default=filtering.DEFAULT_MAX_ITER)
     p.add_argument("--noise-eps", type=float, default=filtering.DEFAULT_NOISE_EPS)
     p.add_argument("-o", "--output", default=None)

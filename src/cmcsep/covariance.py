@@ -112,7 +112,9 @@ def build_cm(rho, basis: ObservableBasis, kind: str = "symmetric") -> Covariance
     d = basis.dim
     if r.shape != (d, d):
         raise MatrixError(f"state shape {r.shape} does not match basis dim {d}")
-    return _cm(r, basis, kind)
+    cm = _cm(r, basis, kind)
+    _check_cm_psd(cm.matrix, f"{kind} covariance matrix")
+    return cm
 
 
 def _cm(r: np.ndarray, basis: ObservableBasis, kind: str) -> CovarianceMatrix:
@@ -126,7 +128,6 @@ def _cm(r: np.ndarray, basis: ObservableBasis, kind: str) -> CovarianceMatrix:
         cm = g - np.outer(m, m).astype(complex)
     else:
         raise MatrixError(f"kind must be 'symmetric' or 'nonsymmetric', got {kind!r}")
-    _check_cm_psd(cm, f"{kind} covariance matrix")
     return CovarianceMatrix(kind=kind, matrix=cm, basis=basis,
                             first_moments=m, linear_part=lin)
 
@@ -154,7 +155,9 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
         purity_b=float(np.real(np.trace(rho_b @ rho_b))),
         moments_a=cm_a.first_moments, moments_b=cm_b.first_moments,
     )
-    _check_cm_psd(bcm.assembled(), "block covariance matrix")
+    # the marginal CMs are principal submatrices, so by eigenvalue
+    # interlacing this one check also covers both of them
+    _check_cm_psd(bcm.assembled(), f"{kind} block covariance matrix")
     return bcm
 
 

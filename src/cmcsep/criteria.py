@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filtering, matlin, sdpsolve
-from .covariance import BlockCovarianceMatrix, build_block_cm, transform_block_cm
+from .covariance import BlockCovarianceMatrix, build_block_cm
 from .matlin import STATE_RTOL, MatrixError, hermitize
 from .observables import gellmann_like_basis, pauli_basis
 from .schmidt import SchmidtOperatorDecomposition, operator_schmidt
@@ -61,15 +61,6 @@ def _json_safe(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
-
-
-@dataclass(frozen=True)
-class CmWitness:
-    """Witness acting on two-qubit covariance matrices: tr(gamma_eff Z1) >= 1
-    for every separable state, so a value below one certifies entanglement."""
-
-    z1: np.ndarray = field(repr=False)
-    value: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -199,22 +190,22 @@ def cmc_trace(rho, dims: tuple[int, int],
         da, db = db, da
     bcm = st.block_cm
     u, sing, vt = np.linalg.svd(bcm.c)
-    rot = transform_block_cm(bcm, u.T, vt)
+    rot_c = u.T @ bcm.c @ vt.T  # diagonal, largest first
     na = da * da
     if index_set is None:
-        index_set = list(range(na))  # rotated C is diagonal, largest first
+        index_set = list(range(na))
     else:
         index_set = list(index_set)
         if len(index_set) != na or len(set(index_set)) != na:
             raise MatrixError(f"index set must hold {na} distinct B indices")
         if min(index_set) < 0 or max(index_set) >= db * db:
             raise MatrixError("index set entry out of range")
-    lhs = 2.0 * float(np.sum(np.abs(rot.c[np.arange(na), index_set])))
+    lhs = 2.0 * float(np.sum(np.abs(rot_c[np.arange(na), index_set])))
     deficit_a = 1.0 - bcm.purity_a
     if da == db and sorted(index_set) == list(range(db * db)):
         rhs = deficit_a + (1.0 - bcm.purity_b)
     else:
-        rhs = deficit_a + float(np.sum(np.diag(rot.b)[index_set]))
+        rhs = deficit_a + float(np.sum(np.diag(vt @ bcm.b @ vt.T)[index_set]))
     return _verdict("cmc_trace", lhs - rhs,
                     {"lhs": lhs, "bound": rhs,
                      "c_singular_values": sing,
@@ -297,7 +288,7 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
         return CriterionVerdict(
             name="cmc_filter", detected=False, margin=total - bound,
             details={"xi": xi, "xi_sum": total, "bound": bound,
-                     "converged": False, "iterations": 0,
+                     "converged": False, "iterations": 0, "noise_eps": 0.0,
                      "separable_by": "low_rank_ppt", "swapped": swapped})
     nf = filtering.normal_form(r, (da, db), tol=tol, max_iter=max_iter,
                                noise_eps=noise_eps)
@@ -309,6 +300,7 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
         "bound": bound,
         "converged": nf.converged,
         "iterations": nf.iterations,
+        "noise_eps": nf.noise_eps,
         "f_value": nf.f_value,
         "filter_a": nf.filter_a,
         "filter_b": nf.filter_b,
@@ -417,12 +409,11 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
     lam_star = float(sol.x[0])
     z1 = sol.z_blocks[0]
     z1 = (z1 + z1.T) / 2
-    witness = CmWitness(z1=z1, value=float(np.tensordot(gamma_eff, z1, axes=2)))
     lur = extract_lur_from_witness(z1)
     details = {
         "lambda_star": lam_star,
         "witness_z1": z1,
-        "witness_value": witness.value,
+        "witness_value": float(np.tensordot(gamma_eff, z1, axes=2)),
         "lur_ops_a": lur.ops_a,
         "lur_ops_b": lur.ops_b,
         "lur_bound": lur.bound,

@@ -11,17 +11,12 @@ from . import matlin
 from .matlin import STATE_RTOL, MatrixError, hermitize
 from .observables import gellmann_like_basis
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10000
-DEFAULT_NOISE_EPS = 1e-9
-
 # Largest deviation of a reduced state from maximally mixed (max-abs entry
 # of rho_red - 1/d) accepted as converged; comfortably inside the 1e-7
 # guarantee on the emitted normal form.
-MARGINAL_TOL = 1e-9
-
-# Sweeps of stalled objective tolerated while the marginals still move.
-STALL_LIMIT = 3
+DEFAULT_TOL = 1e-9
+DEFAULT_MAX_ITER = 10000
+DEFAULT_NOISE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,12 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     """Alternating minimization of f_rho; each half sweep renders one
     marginal exactly maximally mixed, so the objective never increases.
 
-    Rank-deficient inputs are mixed with noise_eps of white noise first.  A
-    state that exhausts ``max_iter`` is returned with converged=False and the
-    best iterate reached; downstream criteria stay valid, only weaker.
+    The run has converged, by the definition of the normal form, once every
+    entry of both marginals is within ``tol`` of maximally mixed; an input
+    already there takes no sweep.  Rank-deficient inputs are mixed with
+    noise_eps of white noise first.  A state that exhausts ``max_iter``
+    sweeps is returned with converged=False and the last iterate;
+    downstream criteria stay valid, only weaker.
     """
     da, db = int(dims[0]), int(dims[1])
     n = da * db
@@ -114,12 +112,19 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     history = [1.0]
     eye_a = np.eye(da) / da
     eye_b = np.eye(db) / db
-    converged = False
-    stall = 0
     sweeps = 0
-    for sweeps in range(1, max_iter + 1):
+    while True:
+        # B was balanced by the previous half sweep, so its marginal is only
+        # contracted once A is within tol
+        marg_a = _marginal_a(r, da, db)
+        converged = bool(
+            np.max(np.abs(marg_a - eye_a)) <= tol
+            and np.max(np.abs(_marginal_b(r, da, db) - eye_b)) <= tol)
+        if converged or sweeps >= max_iter:
+            break
+        sweeps += 1
         # (T x 1) r (T x 1)^dagger as two matmuls over the A row/column index
-        t_a = _balancing_filter(_marginal_a(r, da, db))
+        t_a = _balancing_filter(marg_a)
         r = (t_a.conj() @ (t_a @ r.reshape(da, db * n)).reshape(n, da, db)
              ).reshape(n, n)
         tr = float(r.trace().real)
@@ -137,19 +142,6 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
         f_b = t_b @ f_b
 
         history.append(f_val)
-        rel_change = abs(history[-2] - f_val) / max(abs(f_val), 1e-300)
-        if rel_change < tol:
-            stall += 1
-        else:
-            stall = 0
-        if stall >= STALL_LIMIT:
-            # the objective can flatten out well before the marginals settle
-            # on nearly rank-deficient inputs, so both conditions gate exit
-            dev_a = np.max(np.abs(_marginal_a(r, da, db) - eye_a))
-            dev_b = np.max(np.abs(_marginal_b(r, da, db) - eye_b))
-            if max(dev_a, dev_b) <= MARGINAL_TOL:
-                converged = True
-                break
 
     rho_tilde = (r + r.conj().T) / 2
     return NormalForm(

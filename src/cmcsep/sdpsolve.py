@@ -170,14 +170,15 @@ def _solve_core(problem: SdpProblem, tol: float,
     scale = max(1.0, float(np.max(np.abs(f0vec))),
                 float(np.max(np.abs(c))) if m else 1.0)
     gram = amat @ amat.T + 1e-12 * scale**2 * np.eye(m)
+    # amat^T gram^-1, factored once per solve (gram is symmetric)
+    proj = np.linalg.solve(gram, amat).T
 
     def sym(a):
         return (a + a.T) / 2
 
     def project_dz(dz, target):
         d = dz.ravel()
-        return sym((d + amat.T @ np.linalg.solve(gram, target - amat @ d))
-                   .reshape(ntot, ntot))
+        return sym((d + proj @ (target - amat @ d)).reshape(ntot, ntot))
 
     def residuals(xv, sv, zv):
         return f0 + (xv @ amat).reshape(ntot, ntot) - sv, c - amat @ zv.ravel()

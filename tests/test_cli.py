@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from cmcsep import cli, states
+from cmcsep import cli, filtering, states
 from cmcsep.cli import (_worker_count, bisect_threshold, load_statefile, main,
                         run_benchmark, write_statefile)
 
@@ -254,7 +254,9 @@ def test_parser_built_once_and_stateless(tmp_path, capsys, monkeypatch):
                         lambda: builds.append(1) or build())
     cli._parser.cache_clear()
     path = tmp_path / "w.json"
-    write_statefile(str(path), states.werner_2q(0.9), (2, 2))
+    # not in normal form, so --max-iter 1 shows in the sweep count
+    rho = states.random_density(4, rng=np.random.default_rng(248))
+    write_statefile(str(path), rho, (2, 2))
     try:
         assert run_cli(["detect", str(path), "--criteria", "ppt"]) == 0
         first = json.loads(capsys.readouterr().out)
@@ -270,3 +272,14 @@ def test_parser_built_once_and_stateless(tmp_path, capsys, monkeypatch):
     assert [v["name"] for v in last] == [
         "ppt", "ccnr", "de_vicente", "cmc_singular_values", "cmc_trace",
         "cmc_schmidt", "cmc_kyfan_weyl_s1", "cmc_filter", "cmc_sdp_2q"]
+
+
+def test_detect_reports_filter_noise(tmp_path, capsys):
+    """The filter verdict in detect's JSON says how much white noise the
+    filter mixed in."""
+    path = tmp_path / "cb.json"
+    write_statefile(str(path), states.chessboard(1.0, 0.5, 0.3, 0.2, 0.4, 0.1),
+                    (3, 3))
+    assert run_cli(["detect", str(path), "--criteria", "cmc-filter"]) == 0
+    (verdict,) = json.loads(capsys.readouterr().out)
+    assert verdict["details"]["noise_eps"] == filtering.DEFAULT_NOISE_EPS

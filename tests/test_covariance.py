@@ -381,3 +381,24 @@ def test_effective_cm_is_traceless_part_of_gellmann_block_cm():
                                       pauli.assembled()[keep])
         np.testing.assert_array_equal(cov.two_qubit_effective_cm(rho),
                                       pauli.assembled()[keep])
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
+def test_block_cm_checks_positivity_once(kind, monkeypatch):
+    """The marginal CMs are principal submatrices of the block CM, so its
+    one check rejects a state whose A marginal has a Bloch vector of length
+    2, as build_cm does on that marginal."""
+    rho = np.diag([1.5, 0.0, 0.0, -0.5]).astype(complex)
+    with pytest.raises(MatrixError, match="block covariance matrix"):
+        cov.build_block_cm(rho, pauli_basis(), pauli_basis(), kind=kind)
+    marginal = matlin.partial_trace(rho, (2, 2), keep="A")
+    with pytest.raises(MatrixError, match="covariance matrix has eigenvalue"):
+        cov.build_cm(marginal, pauli_basis(), kind=kind)
+
+    checks = []
+    check = cov._check_cm_psd
+    monkeypatch.setattr(cov, "_check_cm_psd",
+                        lambda m, what: checks.append(what) or check(m, what))
+    cov.build_block_cm(states.werner_2q(0.5), pauli_basis(), pauli_basis(),
+                       kind=kind)
+    assert checks == [f"{kind} block covariance matrix"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cmcsep import criteria, observables, states
+from cmcsep import criteria, filtering, observables, states
 from cmcsep.criteria import (ccnr, cmc_filter, cmc_kyfan_weyl, cmc_schmidt,
                              cmc_sdp_2q, cmc_singular_values, cmc_trace,
                              de_vicente, extract_lur_from_witness, lur_value,
@@ -497,3 +497,19 @@ def test_filter_still_detects_low_rank_npt_states():
         v = cmc_filter(rho, dims)
         assert "separable_by" not in v.details
         assert v.detected
+
+
+def test_filter_reports_noise_mixed_in():
+    """details["noise_eps"] is the white noise the filter mixed in: the
+    default on a rank-4 chessboard state, none on a full-rank state, and
+    none on a low-rank PPT state, which is not filtered at all."""
+    cb = states.chessboard(1.0, 0.5, 0.3, 0.2, 0.4, 0.1)
+    v = cmc_filter(cb, (3, 3))
+    assert "separable_by" not in v.details
+    assert v.details["noise_eps"] == filtering.DEFAULT_NOISE_EPS
+    rho = states.random_density(9, rng=np.random.default_rng(115))
+    assert cmc_filter(rho, (3, 3)).details["noise_eps"] == 0.0
+    psi = np.kron(np.eye(3)[0], np.eye(3)[1]).astype(complex)
+    v = cmc_filter(np.outer(psi, psi.conj()), (3, 3))
+    assert v.details["separable_by"] == "low_rank_ppt"
+    assert v.details["noise_eps"] == 0.0

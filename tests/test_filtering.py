@@ -22,27 +22,22 @@ def reference_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
     if float(np.linalg.eigvalsh(r)[0]) < noise_eps:
         r = (1.0 - noise_eps) * r + noise_eps * np.eye(n) / n
     rho4 = (r / np.real(np.trace(r))).reshape(da, db, da, db)
-    f_val, prev, stall, sweeps = 1.0, 1.0, 0, 0
-    for sweeps in range(1, max_iter + 1):
-        t = filtering._balancing_filter(np.einsum("abcb->ac", rho4))
+    sweeps = 0
+    while True:
+        marg_a = np.einsum("abcb->ac", rho4)
+        dev_a = np.max(np.abs(marg_a - np.eye(da) / da))
+        dev_b = np.max(np.abs(np.einsum("abad->bd", rho4) - np.eye(db) / db))
+        if max(dev_a, dev_b) <= tol or sweeps == max_iter:
+            break
+        sweeps += 1
+        t = filtering._balancing_filter(marg_a)
         out = np.einsum("xa,abcd->xbcd", t, rho4, optimize=True)
         rho4 = np.einsum("xbcd,yc->xbyd", out, t.conj(), optimize=True)
-        tr = float(np.real(np.einsum("abab->", rho4)))
-        f_val *= tr
-        rho4 /= tr
+        rho4 /= float(np.real(np.einsum("abab->", rho4)))
         t = filtering._balancing_filter(np.einsum("abad->bd", rho4))
         out = np.einsum("xb,abcd->axcd", t, rho4, optimize=True)
         rho4 = np.einsum("axcd,yd->axcy", out, t.conj(), optimize=True)
-        tr = float(np.real(np.einsum("abab->", rho4)))
-        f_val *= tr
-        rho4 /= tr
-        stall = stall + 1 if abs(prev - f_val) / max(abs(f_val), 1e-300) < tol else 0
-        prev = f_val
-        if stall >= filtering.STALL_LIMIT:
-            dev_a = np.max(np.abs(np.einsum("abcb->ac", rho4) - np.eye(da) / da))
-            dev_b = np.max(np.abs(np.einsum("abad->bd", rho4) - np.eye(db) / db))
-            if max(dev_a, dev_b) <= filtering.MARGINAL_TOL:
-                break
+        rho4 /= float(np.real(np.einsum("abab->", rho4)))
     rt = rho4.reshape(n, n)
     rt = ((rt + rt.conj().T) / 2).reshape(da, db, da, db)
     ga = gellmann_like_basis(da).ops[1:]
@@ -198,3 +193,43 @@ def test_normal_form_matches_contraction_reference(dims):
         assert nf.noise_eps == (0.0 if rank is None else filtering.DEFAULT_NOISE_EPS)
         assert nf.iterations == sweeps
         assert np.max(np.abs(nf.xi - xi)) < 1e-12
+
+
+def _marginal_deviation(rho, dims):
+    da, db = dims
+    return max(
+        np.max(np.abs(matlin.partial_trace(rho, dims, "A") - np.eye(da) / da)),
+        np.max(np.abs(matlin.partial_trace(rho, dims, "B") - np.eye(db) / db)))
+
+
+@pytest.mark.parametrize("rho, dims", [
+    (np.eye(9) / 9, (3, 3)),
+    (states.werner_2q(0.9), (2, 2)),
+    (states.bell_diagonal(0.5, -0.3, 0.2), (2, 2)),
+], ids=["maximally_mixed", "werner", "bell_diagonal"])
+def test_normal_form_input_takes_no_sweep(rho, dims):
+    """Both marginals already maximally mixed: converged before any sweep,
+    with identity filters and the objective untouched."""
+    nf = normal_form(rho, dims)
+    assert nf.converged
+    assert nf.iterations == 0
+    np.testing.assert_array_equal(nf.filter_a, np.eye(dims[0]))
+    np.testing.assert_array_equal(nf.filter_b, np.eye(dims[1]))
+    np.testing.assert_array_equal(nf.f_history, [1.0])
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+def test_normal_form_stops_on_marginal_tolerance(dims, tol):
+    """tol bounds every entry of both marginals of the result off
+    maximally mixed; one sweep is not enough to get there."""
+    da, db = dims
+    rng = np.random.default_rng([82, da, db])
+    for _ in range(3):
+        rho = states.random_density(da * db, rng=rng)
+        nf = normal_form(rho, dims, tol=tol)
+        assert nf.converged
+        assert _marginal_deviation(nf.rho_tilde, dims) <= tol + 1e-15
+        one = normal_form(rho, dims, tol=tol, max_iter=1)
+        assert not one.converged
+        assert _marginal_deviation(one.rho_tilde, dims) > tol

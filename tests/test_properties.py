@@ -1,16 +1,23 @@
 """Property tests: every two-qubit verdict is invariant under local unitaries
-and under exchanging the subsystems.
+and under exchanging the subsystems, and so are the verdicts and margins at
+uneven dimensions.
 
 Examples are derandomized, so the suite draws the same states on every run.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmcsep import matlin, states
 from cmcsep.criteria import cmc_sdp_2q, run_all
 
 LAMBDA_TOL = 1e-7
+SWAP_MARGIN_TOL = 1e-12
+# cmc_trace is left out: at d_A != d_B its bound rests on a null singular
+# vector of C that rounding picks
+SWAP_MARGIN_CRITERIA = ("ppt", "ccnr", "de_vicente", "cmc_singular_values",
+                        "cmc_schmidt", "cmc_filter")
 
 _settings = settings(derandomize=True, database=None, deadline=None,
                      max_examples=15)
@@ -57,3 +64,24 @@ def test_verdicts_invariant_under_subsystem_swap(seed, separable):
     swapped = matlin.swap_subsystems(rho, (2, 2))
     assert _flags(swapped) == _flags(rho)
     assert abs(_lambda_star(swapped) - _lambda_star(rho)) <= LAMBDA_TOL
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 4)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**31 - 1), separable=st.booleans())
+def test_uneven_verdicts_invariant_under_subsystem_swap(dims, seed, separable):
+    """The criteria that order the sides themselves (the filter and CCNR put
+    the smaller side first) give the same margin in either orientation."""
+    da, db = dims
+    rng = np.random.default_rng([97, da, db, seed])
+    if separable:
+        rho = states.random_separable(da, db, int(rng.integers(4, 16)), rng=rng)
+    else:
+        rho = states.random_density(da * db, rng=rng)
+    here = run_all(rho, dims)
+    there = run_all(matlin.swap_subsystems(rho, dims), (db, da))
+    assert [(v.name, v.detected) for v in there] == \
+        [(v.name, v.detected) for v in here]
+    for v, w in zip(here, there):
+        if v.name in SWAP_MARGIN_CRITERIA:
+            assert abs(v.margin - w.margin) <= SWAP_MARGIN_TOL, v.name
