@@ -22,25 +22,21 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
 
-# CLI spellings of the criteria; kyfan expands per shift s at evaluation.
-CLI_CRITERIA = {
-    "ppt": "ppt",
-    "ccnr": "ccnr",
-    "de-vicente": "de_vicente",
-    "cmc-sv": "cmc_singular_values",
-    "cmc-trace": "cmc_trace",
-    "cmc-schmidt": "cmc_schmidt",
-    "cmc-kyfan": "cmc_kyfan_weyl",
-    "cmc-filter": "cmc_filter",
-    "cmc-sdp": "cmc_sdp_2q",
-}
-
 BENCHMARK_CRITERIA = ("cmc-filter", "cmc-sv", "cmc-trace", "cmc-schmidt",
                       "ccnr", "de-vicente")
 
 
 class InputError(Exception):
     """Bad command-line input or state file; maps to exit code 2."""
+
+
+def _criterion_names(spec: str) -> list[str]:
+    """Criterion names for a comma list of CLI spellings."""
+    spellings = [x.strip() for x in spec.split(",") if x.strip()]
+    unknown = [x for x in spellings if x not in criteria.CRITERIA]
+    if unknown:
+        raise InputError(f"unknown criteria: {', '.join(unknown)}")
+    return [criteria.CRITERIA[x] for x in spellings]
 
 
 def load_statefile(path: str) -> tuple[np.ndarray, tuple[int, int], dict]:
@@ -109,14 +105,7 @@ def _worker_count() -> int:
 
 def cmd_detect(args) -> int:
     rho, dims, _ = load_statefile(args.statefile)
-    if args.criteria == "all":
-        wanted = None
-    else:
-        names = [n.strip() for n in args.criteria.split(",") if n.strip()]
-        unknown = [n for n in names if n not in CLI_CRITERIA]
-        if unknown:
-            raise InputError(f"unknown criteria: {', '.join(unknown)}")
-        wanted = [CLI_CRITERIA[n] for n in names]
+    wanted = None if args.criteria == "all" else _criterion_names(args.criteria)
     verdicts = criteria.run_all(rho, dims, criteria=wanted)
     doc = [v.to_json() for v in verdicts]
     if args.basis:
@@ -147,6 +136,12 @@ def cmd_witness(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
+    if not 0.0 < args.tol < np.inf:
+        raise InputError(f"--tol must be finite and positive, got {args.tol}")
+    if args.max_iter < 0:
+        raise InputError("--max-iter must be non-negative")
+    if not 0.0 <= args.noise_eps <= 1.0:
+        raise InputError(f"--noise-eps {args.noise_eps} outside [0, 1]")
     rho, dims, _ = load_statefile(args.statefile)
     nf = filtering.normal_form(rho, dims, tol=args.tol, max_iter=args.max_iter,
                                noise_eps=args.noise_eps)
@@ -221,7 +216,10 @@ def _parse_dims(spec: str) -> tuple[int, int]:
 
 
 def cmd_gen(args) -> int:
-    rho, dims, meta = _gen_state(args)
+    try:
+        rho, dims, meta = _gen_state(args)
+    except (MatrixError, ValueError) as exc:
+        raise InputError(f"cannot generate {args.family} state: {exc}") from exc
     meta["version"] = __version__
     write_statefile(args.output, rho, dims, meta)
     return EXIT_OK
@@ -234,13 +232,16 @@ def _threshold_eval(family: str, crit_name: str, p: float) -> bool:
         rho, dims = states.werner_2q(p), (2, 2)
     else:
         raise InputError(f"threshold scan supports upb and werner, not {family!r}")
-    verdicts = criteria.run_all(rho, dims, criteria=[CLI_CRITERIA[crit_name]])
+    verdicts = criteria.run_all(rho, dims, criteria=[criteria.CRITERIA[crit_name]])
     return any(v.detected for v in verdicts)
 
 
 def bisect_threshold(family: str, crit_name: str, p_lo: float, p_hi: float,
                      tol: float = 1e-4, presweep: int = 20) -> float:
     """Locate the detection onset by bisection after a monotonicity presweep."""
+    if not (tol > 0 and 0.0 <= p_lo < p_hi <= 1.0):
+        raise InputError(f"need tol > 0 and 0 <= p_lo < p_hi <= 1, got "
+                         f"tol={tol}, p_lo={p_lo}, p_hi={p_hi}")
     flags = [_threshold_eval(family, crit_name, p)
              for p in np.linspace(p_lo, p_hi, presweep)]
     if flags[0] or not flags[-1]:
@@ -251,18 +252,20 @@ def bisect_threshold(family: str, crit_name: str, p_lo: float, p_hi: float,
         raise InputError("detection is not monotone on the requested interval")
     grid = np.linspace(p_lo, p_hi, presweep)
     lo, hi = grid[first - 1], grid[first]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # a tol below the float spacing stops once the interval cannot split
+    while hi - lo > tol and lo < mid < hi:
         if _threshold_eval(family, crit_name, mid):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def cmd_threshold(args) -> int:
-    if args.criterion not in CLI_CRITERIA:
-        raise InputError(f"unknown criterion {args.criterion!r}")
+    if len(_criterion_names(args.criterion)) != 1:
+        raise InputError(f"need one criterion, got {args.criterion!r}")
     p_star = bisect_threshold(args.family, args.criterion, args.p_lo, args.p_hi,
                               tol=args.tol)
     _emit({"family": args.family, "criterion": args.criterion,
@@ -277,7 +280,7 @@ def _benchmark_one(task) -> list[tuple[int, str, float, bool]]:
     state = criteria.PreparedState(states.sample_chessboard(rng), (3, 3))
     rows = []
     for cname in crit_names:
-        vs = criteria.run_all(state, (3, 3), criteria=[CLI_CRITERIA[cname]])
+        vs = criteria.run_all(state, (3, 3), criteria=[criteria.CRITERIA[cname]])
         for v in vs:
             rows.append((index, cname, float(v.margin), bool(v.detected)))
     return rows
@@ -311,11 +314,11 @@ def run_benchmark(n: int, seed: int, crit_names: list[str],
 def cmd_benchmark(args) -> int:
     names = (list(BENCHMARK_CRITERIA) if args.criteria == "default"
              else [x.strip() for x in args.criteria.split(",") if x.strip()])
-    unknown = [x for x in names if x not in CLI_CRITERIA]
-    if unknown:
-        raise InputError(f"unknown criteria: {', '.join(unknown)}")
+    _criterion_names(",".join(names))  # rejects unknown spellings
     if args.n < 0:
         raise InputError("sample count must be non-negative")
+    if args.seed < 0:
+        raise InputError("seed must be non-negative")
     t0 = time.time()
     rows, fractions = run_benchmark(args.n, args.seed, names)
     wall = time.time() - t0
@@ -344,6 +347,8 @@ def fig1_scan(grid_step: float, s: float = 0.45, t: float = 1.0 / 16.0):
     from .covariance import bloch_invert
     from .criteria import ppt
 
+    if not 0.0 < grid_step <= 1.0:
+        raise InputError(f"grid step {grid_step} outside (0, 1]")
     rows = []
     grid = np.arange(0.0, 1.0 + 0.5 * grid_step, grid_step)
     for eps in grid:

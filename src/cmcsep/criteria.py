@@ -168,16 +168,14 @@ def cmc_singular_values(rho, dims: tuple[int, int]) -> CriterionVerdict:
                      "purity_a": bcm.purity_a, "purity_b": bcm.purity_b})
 
 
-def cmc_trace(rho, dims: tuple[int, int],
-              index_set: list[int] | None = None) -> CriterionVerdict:
+def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Trace test 2 sum |C_ii| against the purity deficits, after rotating
     both local bases so the cross block is diagonal.
 
-    For d_A < d_B only a d_A^2-subset J of the B-side diagonal enters; the
-    matching bound then keeps the full A-side purity deficit but can no
-    longer subtract the B-side pure-state trace, so the B term stays at the
-    bare diagonal sum over J (a valid, weaker bound).  ``index_set`` selects
-    J explicitly; the default takes the largest rotated diagonal entries.
+    For d_A < d_B only the d_A^2 largest rotated B-side diagonal entries
+    enter; the matching bound then keeps the full A-side purity deficit but
+    can no longer subtract the B-side pure-state trace, so the B term stays
+    at the bare diagonal sum over them (a valid, weaker bound).
     """
     st = _prepared(rho, dims)
     da, db = st.dims
@@ -192,24 +190,16 @@ def cmc_trace(rho, dims: tuple[int, int],
     u, sing, vt = np.linalg.svd(bcm.c)
     rot_c = u.T @ bcm.c @ vt.T  # diagonal, largest first
     na = da * da
-    if index_set is None:
-        index_set = list(range(na))
-    else:
-        index_set = list(index_set)
-        if len(index_set) != na or len(set(index_set)) != na:
-            raise MatrixError(f"index set must hold {na} distinct B indices")
-        if min(index_set) < 0 or max(index_set) >= db * db:
-            raise MatrixError("index set entry out of range")
-    lhs = 2.0 * float(np.sum(np.abs(rot_c[np.arange(na), index_set])))
+    lhs = 2.0 * float(np.sum(np.abs(np.diag(rot_c)[:na])))
     deficit_a = 1.0 - bcm.purity_a
-    if da == db and sorted(index_set) == list(range(db * db)):
+    if da == db:
         rhs = deficit_a + (1.0 - bcm.purity_b)
     else:
-        rhs = deficit_a + float(np.sum(np.diag(vt @ bcm.b @ vt.T)[index_set]))
+        rhs = deficit_a + float(np.sum(np.diag(vt @ bcm.b @ vt.T)[:na]))
     return _verdict("cmc_trace", lhs - rhs,
                     {"lhs": lhs, "bound": rhs,
                      "c_singular_values": sing,
-                     "index_set": list(map(int, index_set)),
+                     "index_set": list(range(na)),
                      "swapped": swapped})
 
 
@@ -403,8 +393,7 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
         return CriterionVerdict(
             name="cmc_sdp_2q", detected=None, margin=float("nan"),
             details={"solver_status": sol.status,
-                     "iterations": sol.iterations,
-                     "solver_attempts": sol.attempts},
+                     "iterations": sol.iterations},
             eps_margin=SDP_EPS_MARGIN, status="undetermined")
     lam_star = float(sol.x[0])
     z1 = sol.z_blocks[0]
@@ -420,16 +409,24 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
         "lur_value": lur_value(st.rho, lur.ops_a, lur.ops_b),
         "gap": sol.gap,
         "iterations": sol.iterations,
-        "solver_attempts": sol.attempts,
     }
     return CriterionVerdict(
         name="cmc_sdp_2q", detected=bool(lam_star < -SDP_EPS_MARGIN),
         margin=-lam_star, details=details, eps_margin=SDP_EPS_MARGIN)
 
 
-CRITERION_ORDER = ("ppt", "ccnr", "de_vicente", "cmc_singular_values",
-                   "cmc_trace", "cmc_schmidt", "cmc_kyfan_weyl", "cmc_filter",
-                   "cmc_sdp_2q")
+# The criterion family in evaluation order: CLI spelling -> criterion name.
+CRITERIA = {
+    "ppt": "ppt",
+    "ccnr": "ccnr",
+    "de-vicente": "de_vicente",
+    "cmc-sv": "cmc_singular_values",
+    "cmc-trace": "cmc_trace",
+    "cmc-schmidt": "cmc_schmidt",
+    "cmc-kyfan": "cmc_kyfan_weyl",
+    "cmc-filter": "cmc_filter",
+    "cmc-sdp": "cmc_sdp_2q",
+}
 
 
 def run_all(rho, dims: tuple[int, int],
@@ -442,9 +439,9 @@ def run_all(rho, dims: tuple[int, int],
     """
     st = _prepared(rho, dims)
     da, db = st.dims
-    wanted = list(CRITERION_ORDER if criteria is None else criteria)
+    wanted = list(CRITERIA.values() if criteria is None else criteria)
     for name in wanted:
-        if name not in CRITERION_ORDER:
+        if name not in CRITERIA.values():
             raise MatrixError(f"unknown criterion {name!r}")
     out: list[CriterionVerdict] = []
     for name in wanted:

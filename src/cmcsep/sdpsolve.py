@@ -9,7 +9,7 @@ variables, blocks of a few rows), so robustness is favored throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class SdpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
-    attempts: int = 1  # runs made, counting the rescaled retries
 
 
 def _step_factor(s: np.ndarray) -> np.ndarray:
@@ -111,38 +110,9 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     """Run the interior-point iteration until the duality gap and both
     feasibility residuals drop below ``tol``.
 
-    A stalled run is retried on a rescaled copy of the data (same optimum,
-    decorrelated trajectory): near-degenerate optimal faces make the last
-    few digits of the path chaotic, and a different scaling routinely
-    converges where the first attempt ground to a halt.  ``attempts`` on
-    the result counts the runs made.
+    A run that stalls or exhausts ``max_iter`` returns its best iterate
+    with status ``max_iter``.
     """
-    best = None
-    for attempts, factor in enumerate((1.0, 2.0, 4.0), start=1):
-        scaled = problem if factor == 1.0 else SdpProblem(
-            c=problem.c * factor,
-            f0_blocks=[b * factor for b in problem.f0_blocks],
-            fi_blocks=[b * factor for b in problem.fi_blocks])
-        sol = _solve_core(scaled, tol, max_iter)
-        sol = replace(
-            sol,
-            s_blocks=[b / factor for b in sol.s_blocks],
-            primal_objective=sol.primal_objective / factor,
-            dual_objective=sol.dual_objective / factor,
-            gap=sol.gap / factor,
-            primal_residual=sol.primal_residual / factor,
-            dual_residual=sol.dual_residual / factor,
-            attempts=attempts,
-        )
-        if sol.status != "max_iter":
-            return sol
-        if best is None or abs(sol.gap) < abs(best.gap):
-            best = sol
-    return replace(best, attempts=attempts)
-
-
-def _solve_core(problem: SdpProblem, tol: float,
-                max_iter: int) -> SdpSolution:
     m = problem.n_vars
     c = problem.c
     ntot = sum(problem.block_dims)

@@ -145,6 +145,8 @@ def random_separable(d_a: int, d_b: int, n_terms: int = 10,
                      rng: np.random.Generator | None = None) -> np.ndarray:
     """Explicit convex mixture of product pure states; separable by
     construction, used as the soundness oracle."""
+    if n_terms < 1:
+        raise MatrixError(f"need at least one term, got n_terms={n_terms}")
     rng = np.random.default_rng() if rng is None else rng
     weights = rng.exponential(size=n_terms)
     weights /= weights.sum()

@@ -10,6 +10,7 @@ import pytest
 from cmcsep import cli, filtering, states
 from cmcsep.cli import (_worker_count, bisect_threshold, load_statefile, main,
                         run_benchmark, write_statefile)
+from cmcsep.matlin import MatrixError
 
 
 def run_cli(args):
@@ -283,3 +284,58 @@ def test_detect_reports_filter_noise(tmp_path, capsys):
     assert run_cli(["detect", str(path), "--criteria", "cmc-filter"]) == 0
     (verdict,) = json.loads(capsys.readouterr().out)
     assert verdict["details"]["noise_eps"] == filtering.DEFAULT_NOISE_EPS
+
+
+def test_threshold_out_of_range_exit_code(capsys):
+    """A tolerance that is not positive, an empty or reversed p range, or
+    not exactly one criterion is rejected before any state is evaluated."""
+    for flags in (["--tol", "nan"], ["--tol", "0"], ["--tol", "-1"],
+                  ["--p-lo", "0.6", "--p-hi", "0.5"], ["--p-hi", "1.5"],
+                  ["--criterion", "ppt,ccnr"], ["--criterion", "nope"]):
+        argv = ["threshold", "--family", "werner", "--criterion", "ppt"]
+        assert run_cli(argv + flags) == 2, flags
+
+
+def test_threshold_below_float_spacing_terminates():
+    """A positive tol below the float spacing stops once the interval
+    cannot be split any further."""
+    p = bisect_threshold("werner", "ppt", 0.0, 1.0, tol=1e-300)
+    assert abs(p - 1 / 3) < 1e-8  # ppt flags above p = 1/3 + 4e-9/3
+
+
+def test_gen_out_of_range_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "s.json")
+    for flags in (["--family", "werner", "--p", "2"],
+                  ["--family", "upb", "--p", "-1"],
+                  ["--family", "random", "--rank", "0"],
+                  ["--family", "chessboard", "--params", "0,1,1,1,1,1"],
+                  ["--family", "random", "--seed", "-1"]):
+        assert run_cli(["gen", *flags, "-o", out]) == 2, flags
+        assert "numerical failure" not in capsys.readouterr().err
+
+
+def test_gen_separable_needs_a_term(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run_cli(["gen", "--family", "separable", "--terms", "0",
+                    "-o", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(MatrixError):
+        states.random_separable(2, 2, n_terms=0)
+
+
+def test_normal_form_out_of_range_exit_code(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    write_statefile(str(path), states.werner_2q(0.5), (2, 2))
+    for flags in (["--noise-eps", "2"], ["--noise-eps", "-0.1"],
+                  ["--tol", "nan"], ["--tol", "0"], ["--tol", "inf"],
+                  ["--max-iter", "-5"]):
+        assert run_cli(["normal-form", str(path), *flags]) == 2, flags
+
+
+def test_fig1_out_of_range_exit_code(capsys):
+    for step in ("-1", "0", "nan", "2"):
+        assert run_cli(["fig1", "--grid-step", step]) == 2, step
+
+
+def test_benchmark_negative_seed_exit_code(capsys):
+    assert run_cli(["benchmark", "-n", "1", "--seed", "-1"]) == 2

@@ -75,14 +75,6 @@ def test_trace_auto_equals_singular_route_on_upb():
     assert not cmc_trace(states.upb_tiles(0.8817), (3, 3)).detected
 
 
-def test_trace_rejects_bad_index_set():
-    rho = states.upb_tiles(0.9)
-    with pytest.raises(MatrixError):
-        cmc_trace(rho, (3, 3), index_set=[0, 1, 2])
-    with pytest.raises(MatrixError):
-        cmc_trace(rho, (3, 3), index_set=list(range(8)) + [20])
-
-
 def test_trace_uneven_dims_both_orders():
     """The trace test relabels sides so the smaller system comes first."""
     rng = np.random.default_rng(107)
@@ -464,6 +456,18 @@ def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
     # with d_A > d_B the trace test builds the CM of the swapped state, as
     # its rotation is not stable under transposing the shared C
     assert len(bcm_calls) == (2 if dims == (3, 2) else 1)
+
+
+def test_run_all_looks_criteria_up_at_call_time(monkeypatch):
+    """A criterion or the SDP solver rebound on its module after import is
+    the one run_all calls."""
+    from cmcsep import sdpsolve
+
+    ccnr_calls = count_calls(monkeypatch, criteria, "ccnr")
+    solve_calls = count_calls(monkeypatch, sdpsolve, "solve")
+    run_all(states.werner_2q(0.9), (2, 2))
+    assert ccnr_calls == ["ccnr"]
+    assert solve_calls == ["solve"]
 
 
 def test_filter_skips_pure_product_state():
