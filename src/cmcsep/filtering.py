@@ -3,6 +3,7 @@ obtained by minimizing the determinant-normalized overlap functional."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +16,16 @@ from .observables import gellmann_like_basis
 # of rho_red - 1/d) accepted as converged; comfortably inside the 1e-7
 # guarantee on the emitted normal form.
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 10000
+DEFAULT_MAX_ITER = 100
 DEFAULT_NOISE_EPS = 1e-9
+
+# Newton step: largest coefficient of a step in the max norm (a full step
+# can overflow exp far from the optimum), the Armijo constant, the rounding
+# slack on log tr, and the smallest fraction of the step tried.
+STEP_CAP = 4.0
+ARMIJO_C = 0.25
+LOG_SLACK = 1e-14
+MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,40 +68,46 @@ def f_rho(rho, rho_a, rho_b) -> float:
     return overlap / denom
 
 
-def _balancing_filter(marginal: np.ndarray) -> np.ndarray:
-    """Determinant-one Hermitian filter T making T marg T^dagger uniform.
+@functools.lru_cache(maxsize=32)
+def _local_generators(da: int, db: int) -> np.ndarray:
+    """Stack of the n x n local operators G_k x 1, then 1 x G_k, over the
+    traceless Gell-Mann-like elements of each side.
 
-    T = det(marg)^(1/2d) marg^(-1/2) is the exact minimizer of the objective
-    over one side with the other held fixed.
-    """
-    w, v = np.linalg.eigh(marginal)
-    if w[0] <= 0.0:
-        raise MatrixError("encountered a singular marginal during filtering; "
-                          "input state is effectively rank deficient")
-    d = marginal.shape[0]
-    scale = np.exp(np.sum(np.log(w)) / (2 * d))
-    return (v * (scale / np.sqrt(w))) @ v.conj().T
+    Cached per dims; the returned array is read-only."""
+    ops = np.array(
+        [np.kron(g, np.eye(db)) for g in gellmann_like_basis(da).ops[1:]]
+        + [np.kron(np.eye(da), g) for g in gellmann_like_basis(db).ops[1:]])
+    ops.flags.writeable = False
+    return ops
 
 
-def _marginal_a(r: np.ndarray, da: int, db: int) -> np.ndarray:
-    return np.einsum("abcb->ac", r.reshape(da, db, da, db))
+def newton_system(r: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of h -> log tr[e^(X/2) r e^(X/2)] at h = 0, with
+    X = sum_k h_k L_k over the local generators ``ops`` and tr r = 1.
 
-
-def _marginal_b(r: np.ndarray, da: int, db: int) -> np.ndarray:
-    return np.einsum("abad->bd", r.reshape(da, db, da, db))
+    The gradient is <L_k> and the Hessian Re<L_k L_l> - <L_k><L_l>: the
+    symmetric block covariance matrix of r on the traceless rows."""
+    k, n = ops.shape[:2]
+    m = (ops @ r).reshape(k, n * n)
+    grad = np.real(m[:, ::n + 1].sum(axis=1))
+    hess = np.real(ops.transpose(0, 2, 1).reshape(k, n * n) @ m.T)
+    return grad, hess - np.outer(grad, grad)
 
 
 def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER,
                 noise_eps: float = DEFAULT_NOISE_EPS) -> NormalForm:
-    """Alternating minimization of f_rho; each half sweep renders one
-    marginal exactly maximally mixed, so the objective never increases.
+    """Damped Newton minimization of log tr[(A x B) rho (A x B)^dagger] over
+    A = exp(H_A/2), B = exp(H_B/2) with H traceless Hermitian.
 
-    The run has converged, by the definition of the normal form, once every
-    entry of both marginals is within ``tol`` of maximally mixed; an input
-    already there takes no sweep.  Rank-deficient inputs are mixed with
-    noise_eps of white noise first.  A state that exhausts ``max_iter``
-    sweeps is returned with converged=False and the last iterate;
+    Each step solves with the iterate's own symmetric block covariance
+    matrix as the Hessian, caps the step at ``STEP_CAP`` in the max norm and
+    halves it until the Armijo condition holds, so the objective never
+    increases.  The run has converged, by the definition of the normal form,
+    once every entry of both marginals is within ``tol`` of maximally mixed;
+    an input already there takes no step.  Rank-deficient inputs are mixed
+    with noise_eps of white noise first.  A state that exhausts ``max_iter``
+    steps is returned with converged=False and the last iterate;
     downstream criteria stay valid, only weaker.
     """
     da, db = int(dims[0]), int(dims[1])
@@ -106,52 +121,64 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
         applied_eps = noise_eps
 
     r = r / np.real(np.trace(r))
+    ops = _local_generators(da, db)
+    ga = gellmann_like_basis(da).ops[1:]
+    gb = gellmann_like_basis(db).ops[1:]
+    ka = da * da - 1
     f_a = np.eye(da, dtype=complex)
     f_b = np.eye(db, dtype=complex)
     f_val = 1.0
     history = [1.0]
     eye_a = np.eye(da) / da
     eye_b = np.eye(db) / db
-    sweeps = 0
+    steps = 0
     while True:
-        # B was balanced by the previous half sweep, so its marginal is only
-        # contracted once A is within tol
-        marg_a = _marginal_a(r, da, db)
+        r4 = r.reshape(da, db, da, db)
         converged = bool(
-            np.max(np.abs(marg_a - eye_a)) <= tol
-            and np.max(np.abs(_marginal_b(r, da, db) - eye_b)) <= tol)
-        if converged or sweeps >= max_iter:
+            np.max(np.abs(np.einsum("abcb->ac", r4) - eye_a)) <= tol
+            and np.max(np.abs(np.einsum("abad->bd", r4) - eye_b)) <= tol)
+        if converged or steps >= max_iter:
             break
-        sweeps += 1
-        # (T x 1) r (T x 1)^dagger as two matmuls over the A row/column index
-        t_a = _balancing_filter(marg_a)
-        r = (t_a.conj() @ (t_a @ r.reshape(da, db * n)).reshape(n, da, db)
-             ).reshape(n, n)
-        tr = float(r.trace().real)
+        steps += 1
+        grad, hess = newton_system(r, ops)
+        try:
+            h = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise MatrixError("singular Hessian during filtering; input state "
+                              "is effectively rank deficient") from None
+        h *= min(1.0, STEP_CAP / np.max(np.abs(h)))
+        slope = float(grad @ h)
+        # exp(t H/2) = V e^(t w/2) V^dagger for every trial t of the search
+        wa, va = np.linalg.eigh(np.tensordot(h[:ka], ga, axes=1))
+        wb, vb = np.linalg.eigh(np.tensordot(h[ka:], gb, axes=1))
+        t = 1.0
+        while True:
+            a = (va * np.exp(t * wa / 2)) @ va.conj().T
+            b = (vb * np.exp(t * wb / 2)) @ vb.conj().T
+            k = (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+            nxt = k @ r @ k
+            tr = float(nxt.trace().real)
+            # the slack admits steps whose decrease is below rounding, so a
+            # run near the optimum still moves the marginals
+            if np.log(tr) <= ARMIJO_C * t * slope + LOG_SLACK or t < MIN_STEP:
+                break
+            t /= 2
         f_val *= tr
-        r /= tr
-        f_a = t_a @ f_a
-
-        # (1 x T) r (1 x T)^dagger, batched over the A row index
-        t_b = _balancing_filter(_marginal_b(r, da, db))
-        r = ((t_b @ r.reshape(da, db, n)).reshape(n, da, db) @ t_b.conj().T
-             ).reshape(n, n)
-        tr = float(r.trace().real)
-        f_val *= tr
-        r /= tr
-        f_b = t_b @ f_b
-
+        # A and B are Hermitian, so only rounding breaks the symmetry of
+        # k r k; it is removed every step, or ill-conditioned runs drift
+        r = (nxt + nxt.conj().T) / (2 * tr)
+        f_a = a @ f_a
+        f_b = b @ f_b
         history.append(f_val)
 
-    rho_tilde = (r + r.conj().T) / 2
     return NormalForm(
-        xi=normal_form_coefficients(rho_tilde, (da, db)),
+        xi=normal_form_coefficients(r, (da, db)),
         filter_a=f_a,
         filter_b=f_b,
-        rho_tilde=rho_tilde,
+        rho_tilde=r,
         converged=converged,
         f_value=f_val,
-        iterations=sweeps,
+        iterations=steps,
         f_history=np.array(history),
         noise_eps=applied_eps,
         dims=(da, db),

@@ -210,6 +210,32 @@ def test_benchmark_report_fields(tmp_path, capsys):
     assert set(doc["detection_fractions"]) == {"ccnr"}
 
 
+def test_benchmark_rejects_two_qubit_sdp(tmp_path, capsys):
+    """The SDP gives no verdict on the 3x3 ensemble, so asking for it is
+    bad input rather than a 0.0 fraction with no rows behind it."""
+    out = tmp_path / "k.csv"
+    assert run_cli(["benchmark", "-n", "3", "--seed", "1",
+                    "--criteria", "cmc-sdp,cmc-kyfan", "--csv", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_benchmark_kyfan_rows_labelled_per_shift(tmp_path, capsys):
+    """Each Ky-Fan shift gets its own CSV rows and its own fraction."""
+    out = tmp_path / "k.csv"
+    assert run_cli(["benchmark", "-n", "3", "--seed", "1",
+                    "--criteria", "ccnr,cmc-kyfan", "--csv", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["detection_fractions"]) == [
+        "ccnr", "cmc-kyfan-s1", "cmc-kyfan-s2"]
+    lines = out.read_text().splitlines()[1:]
+    labels = [line.split(",")[1] for line in lines]
+    assert labels == ["ccnr", "cmc-kyfan-s1", "cmc-kyfan-s2"] * 3
+    for label, fraction in doc["detection_fractions"].items():
+        hits = [int(line.split(",")[3]) for line in lines
+                if line.split(",")[1] == label]
+        assert fraction == sum(hits) / 3
+
+
 def test_fig1_command(tmp_path):
     out = tmp_path / "fig1.csv"
     assert run_cli(["fig1", "--grid-step", "0.1", "-o", str(out)]) == 0
@@ -255,7 +281,7 @@ def test_parser_built_once_and_stateless(tmp_path, capsys, monkeypatch):
                         lambda: builds.append(1) or build())
     cli._parser.cache_clear()
     path = tmp_path / "w.json"
-    # not in normal form, so --max-iter 1 shows in the sweep count
+    # not in normal form, so --max-iter 1 shows in the step count
     rho = states.random_density(4, rng=np.random.default_rng(248))
     write_statefile(str(path), rho, (2, 2))
     try:

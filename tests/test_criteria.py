@@ -161,8 +161,8 @@ def test_filter_uneven_bound_value():
 
 
 def test_filter_unconverged_uneven_uses_de_vicente_bound():
-    """The (2,5) drop bound 5.5 needs a converged normal form; one sweep
-    leaves an iterate that is only held to sqrt(dA dB (dA-1)(dB-1))."""
+    """The (2,5) drop bound 5.5 needs a converged normal form; one Newton
+    step leaves an iterate that is only held to sqrt(dA dB (dA-1)(dB-1))."""
     assert abs(criteria.filter_xi_bound((2, 5)) - 5.5) < 1e-12
     rng = np.random.default_rng(107)
     rho = states.random_density(10, rng=rng)
@@ -471,7 +471,7 @@ def test_run_all_looks_criteria_up_at_call_time(monkeypatch):
 
 
 def test_filter_skips_pure_product_state():
-    """|0>|1> is PPT of rank 1 <= 3: separable without a single sweep."""
+    """|0>|1> is PPT of rank 1 <= 3: separable without a single filter step."""
     psi = np.kron(np.eye(3)[0], np.eye(3)[1]).astype(complex)
     v = cmc_filter(np.outer(psi, psi.conj()), (3, 3))
     assert v.details["iterations"] == 0

@@ -6,16 +6,27 @@ import numpy as np
 import pytest
 
 from cmcsep import filtering, matlin, states
+from cmcsep.covariance import build_block_cm
+from cmcsep.criteria import cmc_filter
 from cmcsep.filtering import f_rho, normal_form
 from cmcsep.matlin import MatrixError, hermitize
 from cmcsep.observables import gellmann_like_basis
 
 
+def _reference_balancing_filter(marginal):
+    """Determinant-one Hermitian T = det(marg)^(1/2d) marg^(-1/2), which
+    makes T marg T^dagger maximally mixed."""
+    w, v = np.linalg.eigh(marginal)
+    scale = np.exp(np.sum(np.log(w)) / (2 * marginal.shape[0]))
+    return (v * (scale / np.sqrt(w))) @ v.conj().T
+
+
 def reference_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
-                          max_iter=filtering.DEFAULT_MAX_ITER,
+                          max_iter=10000,
                           noise_eps=filtering.DEFAULT_NOISE_EPS):
-    """The filter sweep as index contractions on the (a, b, a', b') tensor;
-    returns (sweeps, xi) for comparison with the matmul kernel."""
+    """The alternating filter sweep as index contractions on the
+    (a, b, a', b') tensor, each half sweep balancing one marginal; returns
+    (converged, xi) for comparison with the Newton kernel."""
     da, db = dims
     n = da * db
     r = hermitize(rho, rtol=1e-10)
@@ -30,11 +41,11 @@ def reference_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
         if max(dev_a, dev_b) <= tol or sweeps == max_iter:
             break
         sweeps += 1
-        t = filtering._balancing_filter(marg_a)
+        t = _reference_balancing_filter(marg_a)
         out = np.einsum("xa,abcd->xbcd", t, rho4, optimize=True)
         rho4 = np.einsum("xbcd,yc->xbyd", out, t.conj(), optimize=True)
         rho4 /= float(np.real(np.einsum("abab->", rho4)))
-        t = filtering._balancing_filter(np.einsum("abad->bd", rho4))
+        t = _reference_balancing_filter(np.einsum("abad->bd", rho4))
         out = np.einsum("xb,abcd->axcd", t, rho4, optimize=True)
         rho4 = np.einsum("axcd,yd->axcy", out, t.conj(), optimize=True)
         rho4 /= float(np.real(np.einsum("abab->", rho4)))
@@ -43,7 +54,7 @@ def reference_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
     ga = gellmann_like_basis(da).ops[1:]
     gb = gellmann_like_basis(db).ops[1:]
     xi_mat = np.real(np.einsum("abcd,ica,jdb->ij", rt, ga, gb, optimize=True))
-    return sweeps, da * db * np.linalg.svd(xi_mat, compute_uv=False)
+    return max(dev_a, dev_b) <= tol, da * db * np.linalg.svd(xi_mat, compute_uv=False)
 
 
 def test_f_all_maximally_mixed_is_one():
@@ -169,6 +180,14 @@ def test_normal_form_mixes_in_noise_for_rank_deficient_input():
     assert np.all(np.isfinite(nf.xi))
 
 
+def test_normal_form_singular_input_without_noise_raises():
+    """With no noise mixed in, a pure product state has a singular Hessian,
+    which is reported as a MatrixError."""
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(MatrixError, match="rank deficient"):
+        normal_form(rho, (2, 2), noise_eps=0.0)
+
+
 def test_normal_form_speed_and_convergence():
     """Full-rank 3x3 states settle at tol 1e-10 well under a second."""
     rng = np.random.default_rng(80)
@@ -182,17 +201,56 @@ def test_normal_form_speed_and_convergence():
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (2, 5)])
 def test_normal_form_matches_contraction_reference(dims):
-    """The matmul sweep reproduces the index-contraction sweep: same sweep
-    count and coefficients, on full-rank and noise-mixed low-rank input."""
+    """Newton reaches the normal form of the index-contraction sweep: the
+    same coefficients, on full-rank and noise-mixed low-rank input."""
     da, db = dims
     rng = np.random.default_rng([81, da, db])
     for rank in (None, None, da * db // 2, da * db // 2):
         rho = states.random_density(da * db, rank=rank, rng=rng)
         nf = normal_form(rho, dims)
-        sweeps, xi = reference_normal_form(rho, dims)
+        converged, xi = reference_normal_form(rho, dims)
         assert nf.noise_eps == (0.0 if rank is None else filtering.DEFAULT_NOISE_EPS)
-        assert nf.iterations == sweeps
-        assert np.max(np.abs(nf.xi - xi)) < 1e-12
+        assert nf.converged and converged
+        assert np.max(np.abs(nf.xi - xi)) < 1e-8
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_newton_hessian_is_block_cm(dims):
+    """The Newton system at an iterate is its traceless local moments and
+    its symmetric block CM on the traceless rows and columns."""
+    da, db = dims
+    rng = np.random.default_rng([83, da, db])
+    rho = states.random_density(da * db, rng=rng)
+    iterate = normal_form(rho, dims, max_iter=1).rho_tilde
+    ga, gb = gellmann_like_basis(da), gellmann_like_basis(db)
+    grad, hess = filtering.newton_system(
+        iterate, filtering._local_generators(da, db))
+    bcm = build_block_cm(iterate, ga, gb, kind="symmetric")
+    assert np.max(np.abs(hess - bcm.traceless_part())) < 1e-12
+    np.testing.assert_allclose(
+        grad, np.concatenate([bcm.moments_a[1:], bcm.moments_b[1:]]), atol=1e-14)
+
+
+def test_normal_form_rank_deficient_2x5_converges():
+    """Rank-4 separable (2,5) states, whose filter is ill-conditioned,
+    converge in few steps to an exactly Hermitian normal form."""
+    for i in range(10):
+        rho = states.random_separable(2, 5, 4, rng=np.random.default_rng([104, i]))
+        nf = normal_form(rho, (2, 5))
+        assert nf.noise_eps == filtering.DEFAULT_NOISE_EPS
+        assert nf.converged and nf.iterations <= 50
+        assert np.max(np.abs(nf.rho_tilde - nf.rho_tilde.conj().T)) <= 1e-14
+        assert np.all(np.diff(nf.f_history) <= 1e-12)
+
+
+def test_chessboard_filter_runs_bounded():
+    """Every filter run on seeded chessboard states converges in at most
+    50 Newton steps."""
+    for i in range(200):
+        rho = states.sample_chessboard(np.random.default_rng([105, i]))
+        v = cmc_filter(rho, (3, 3))
+        assert v.details["iterations"] <= 50
+        assert v.details["converged"] or v.details.get("separable_by")
 
 
 def _marginal_deviation(rho, dims):
@@ -208,7 +266,7 @@ def _marginal_deviation(rho, dims):
     (states.bell_diagonal(0.5, -0.3, 0.2), (2, 2)),
 ], ids=["maximally_mixed", "werner", "bell_diagonal"])
 def test_normal_form_input_takes_no_sweep(rho, dims):
-    """Both marginals already maximally mixed: converged before any sweep,
+    """Both marginals already maximally mixed: converged before any step,
     with identity filters and the objective untouched."""
     nf = normal_form(rho, dims)
     assert nf.converged
@@ -222,7 +280,7 @@ def test_normal_form_input_takes_no_sweep(rho, dims):
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
 def test_normal_form_stops_on_marginal_tolerance(dims, tol):
     """tol bounds every entry of both marginals of the result off
-    maximally mixed; one sweep is not enough to get there."""
+    maximally mixed; one Newton step is not enough to get there."""
     da, db = dims
     rng = np.random.default_rng([82, da, db])
     for _ in range(3):

@@ -1,6 +1,7 @@
 """Property tests: every two-qubit verdict is invariant under local unitaries
 and under exchanging the subsystems, and so are the verdicts and margins at
-uneven dimensions.
+uneven dimensions.  The filter normal form, and so the filter verdict, is
+invariant under local invertible filters.
 
 Examples are derandomized, so the suite draws the same states on every run.
 """
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmcsep import matlin, states
-from cmcsep.criteria import cmc_sdp_2q, run_all
+from cmcsep.criteria import cmc_filter, cmc_sdp_2q, run_all
+from cmcsep.filtering import normal_form
 
 LAMBDA_TOL = 1e-7
+XI_TOL = 1e-7
 SWAP_MARGIN_TOL = 1e-12
 # cmc_trace is left out: at d_A != d_B its bound rests on a null singular
 # vector of C that rounding picks
@@ -85,3 +88,36 @@ def test_uneven_verdicts_invariant_under_subsystem_swap(dims, seed, separable):
     for v, w in zip(here, there):
         if v.name in SWAP_MARGIN_CRITERIA:
             assert abs(v.margin - w.margin) <= SWAP_MARGIN_TOL, v.name
+
+
+def _local_filter(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Invertible U diag(e^x) V with Haar U, V and x uniform in [-1, 1]."""
+    return (_haar_unitary(d, rng) * np.exp(rng.uniform(-1.0, 1.0, d))
+            ) @ _haar_unitary(d, rng)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 5)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**31 - 1), separable=st.booleans())
+def test_normal_form_invariant_under_local_filters(dims, seed, separable):
+    """(F_A x F_B) rho (F_A x F_B)^dagger has the normal form of rho up to
+    local unitaries: the same coefficients and the same filter verdict.
+
+    The states are full rank: white noise mixed into a rank-deficient state
+    does not commute with the filter, and its normal form depends on the
+    noise."""
+    da, db = dims
+    rng = np.random.default_rng([98, da, db, seed])
+    if separable:
+        rho = states.random_separable(da, db, int(rng.integers(da * db, 16)),
+                                      rng=rng)
+    else:
+        rho = states.random_density(da * db, rng=rng)
+    f = np.kron(_local_filter(da, rng), _local_filter(db, rng))
+    filtered = f @ rho @ f.conj().T
+    filtered = (filtered + filtered.conj().T) / (2 * np.trace(filtered).real)
+    here, there = normal_form(rho, dims), normal_form(filtered, dims)
+    assert here.converged and there.converged
+    assert here.noise_eps == there.noise_eps == 0.0
+    assert np.max(np.abs(here.xi - there.xi)) <= XI_TOL
+    assert cmc_filter(filtered, dims).detected == cmc_filter(rho, dims).detected
