@@ -6,11 +6,8 @@ from .covariance import (
     bloch_invert,
     build_block_cm,
     build_cm,
-    check_pure_cm_structure,
     concavity_check,
     reconstruct_state,
-    transform_block_cm,
-    transform_cm,
     two_qubit_effective_cm,
 )
 from .criteria import (
@@ -33,14 +30,11 @@ from .criteria import (
 from .filtering import NormalForm, f_rho, normal_form
 from .matlin import (
     MatrixError,
-    Spectrum,
-    hermitian_eig,
     ky_fan_norm,
     operator_norm,
     partial_trace,
     partial_transpose,
     realign,
-    svd,
     trace_norm,
 )
 from .observables import (

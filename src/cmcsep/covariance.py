@@ -1,5 +1,5 @@
 """Covariance matrices of observable sets: construction, block form,
-transformation, structural checks, and state reconstruction."""
+concavity, Bloch inversion, and state reconstruction."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from . import matlin
 from .matlin import STATE_RTOL, MatrixError, as_matrix, hermitize
-from .observables import PAULI, ObservableBasis, pauli_basis, standard_basis
+from .observables import ObservableBasis, pauli_basis
 
 # Accumulated rounding across d^2-term sums; eigenvalues below this floor
 # signal an invalid input state rather than a detection result.
@@ -161,49 +161,6 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
     return bcm
 
 
-def transform_cm(cm: CovarianceMatrix, o) -> CovarianceMatrix:
-    """Basis change K_i = sum_j O_ij M_j maps the CM to O gamma O^T."""
-    om = np.asarray(o, dtype=float)
-    n = cm.matrix.shape[0]
-    if om.shape != (n, n):
-        raise MatrixError(f"transform shape {om.shape} does not match CM size {n}")
-    new_basis = ObservableBasis(
-        dim=cm.basis.dim,
-        ops=np.einsum("ij,jab->iab", om, cm.basis.ops),
-        kind="custom",
-    )
-    lin = None if cm.linear_part is None else om @ cm.linear_part @ om.T
-    return CovarianceMatrix(
-        kind=cm.kind,
-        matrix=om @ cm.matrix @ om.T,
-        basis=new_basis,
-        first_moments=om @ cm.first_moments,
-        linear_part=lin,
-    )
-
-
-def transform_block_cm(bcm: BlockCovarianceMatrix, o_a, o_b) -> BlockCovarianceMatrix:
-    """Local basis change (O_A (+) O_B); keeps the block structure."""
-    oa = np.asarray(o_a, dtype=float)
-    ob = np.asarray(o_b, dtype=float)
-    return BlockCovarianceMatrix(
-        kind=bcm.kind,
-        a=oa @ bcm.a @ oa.T,
-        b=ob @ bcm.b @ ob.T,
-        c=oa @ bcm.c @ ob.T,
-        basis_a=ObservableBasis(bcm.basis_a.dim,
-                                np.einsum("ij,jab->iab", oa, bcm.basis_a.ops),
-                                "custom"),
-        basis_b=ObservableBasis(bcm.basis_b.dim,
-                                np.einsum("ij,jab->iab", ob, bcm.basis_b.ops),
-                                "custom"),
-        purity_a=bcm.purity_a,
-        purity_b=bcm.purity_b,
-        moments_a=None if bcm.moments_a is None else oa @ bcm.moments_a,
-        moments_b=None if bcm.moments_b is None else ob @ bcm.moments_b,
-    )
-
-
 def _moments_from_commutators(gamma: np.ndarray, basis: ObservableBasis) -> tuple[np.ndarray, float]:
     """First moments from the antisymmetric part of a non-symmetric CM.
 
@@ -242,7 +199,7 @@ def reconstruct_state(cm: CovarianceMatrix | BlockCovarianceMatrix) -> np.ndarra
         raise MatrixError("reconstruction needs the non-symmetric covariance kind")
     if cm.basis.kind != "standard":
         raise MatrixError("reconstruction is defined for the standard basis; "
-                          "transform the CM first")
+                          "build the CM in that basis")
     moments, lin_res = _moments_from_commutators(cm.matrix, cm.basis)
     rho = np.einsum("i,iab->ab", moments, cm.basis.ops)
     rho = (rho + rho.conj().T) / 2
@@ -284,34 +241,6 @@ def _reconstruct_block(bcm: BlockCovarianceMatrix) -> np.ndarray:
     return rho
 
 
-def check_pure_cm_structure(cm: CovarianceMatrix, rank_tol: float = 1e-6) -> dict:
-    """Spectral fingerprint of a CM against the pure-state pattern.
-
-    Pure states give rank d-1 with unit eigenvalues (non-symmetric kind,
-    hence a projector) or rank 2(d-1) with eigenvalues 1/2 (symmetric kind).
-    """
-    mat = cm.matrix
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)[::-1]
-    d = cm.basis.dim
-    rank = int(np.sum(w > rank_tol))
-    if cm.kind == "nonsymmetric":
-        expected_rank, expected_val = d - 1, 1.0
-    else:
-        expected_rank, expected_val = 2 * (d - 1), 0.5
-    idem = float(np.linalg.norm(mat @ mat - mat))
-    return {
-        "kind": cm.kind,
-        "rank": rank,
-        "expected_rank": expected_rank,
-        "eigenvalues": w,
-        "expected_nonzero_eigenvalue": expected_val,
-        "nonzero_eigenvalue_deviation": float(
-            np.max(np.abs(w[:rank] - expected_val)) if rank else 0.0),
-        "idempotency_error": idem,
-        "trace": float(np.sum(w)),
-    }
-
-
 def concavity_check(rhos, probs, basis: ObservableBasis,
                     kind: str = "nonsymmetric") -> float:
     """Minimal eigenvalue of gamma(sum p_k rho_k) - sum p_k gamma(rho_k).
@@ -331,42 +260,27 @@ def concavity_check(rhos, probs, basis: ObservableBasis,
     return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
 
 
-def pauli_expectations(rho: np.ndarray) -> np.ndarray:
-    """4x4 table <sigma_mu x sigma_nu> of a two-qubit state."""
-    sig = [PAULI[k] for k in "IXYZ"]
-    r4 = as_matrix(rho).reshape(2, 2, 2, 2)
-    table = np.empty((4, 4))
-    for i, si in enumerate(sig):
-        for j, sj in enumerate(sig):
-            table[i, j] = np.real(np.einsum("abcd,ca,db->", r4, si, sj))
-    return table
-
-
 def bloch_invert(rho, side: str = "A") -> tuple[np.ndarray, float]:
     """Flip the Bloch vector of one qubit while keeping the block CM fixed.
 
     <sigma_i> of the chosen side changes sign and the joint moments shift by
     -2<sigma_i^A><sigma_j^B>, which leaves every entry of the symmetric
-    block CM invariant.  The output need not be positive semidefinite; its
-    minimal eigenvalue is returned alongside.
+    block CM invariant.  In closed form the A-side flip is
+    rho - (2 rho_A - 1) x rho_B, and the B-side flip rho - rho_A x (2 rho_B - 1).
+    The output need not be positive semidefinite; its minimal eigenvalue is
+    returned alongside.
     """
     r = hermitize(rho, rtol=STATE_RTOL)
     if r.shape != (4, 4):
         raise MatrixError("Bloch inversion is defined for two-qubit states")
     if side not in ("A", "B"):
         raise MatrixError(f"side must be 'A' or 'B', got {side!r}")
-    lam = pauli_expectations(r)
-    new = lam.copy()
+    rho_a = matlin.partial_trace(r, (2, 2), keep="A")
+    rho_b = matlin.partial_trace(r, (2, 2), keep="B")
     if side == "A":
-        new[1:, 0] = -lam[1:, 0]
-        new[1:, 1:] = lam[1:, 1:] - 2.0 * np.outer(lam[1:, 0], lam[0, 1:])
+        out = r - np.kron(2.0 * rho_a - np.eye(2), rho_b)
     else:
-        new[0, 1:] = -lam[0, 1:]
-        new[1:, 1:] = lam[1:, 1:] - 2.0 * np.outer(lam[1:, 0], lam[0, 1:])
-    sig = [PAULI[k] for k in "IXYZ"]
-    out = sum(new[i, j] * np.kron(sig[i], sig[j])
-              for i in range(4) for j in range(4)) / 4.0
-    out = (out + out.conj().T) / 2
+        out = r - np.kron(rho_a, 2.0 * rho_b - np.eye(2))
     return out, float(np.linalg.eigvalsh(out)[0])
 
 
@@ -375,13 +289,6 @@ def two_qubit_effective_cm(rho) -> np.ndarray:
     observables sigma_k/sqrt2 (identity rows and columns vanish)."""
     basis = pauli_basis()
     return build_block_cm(rho, basis, basis, kind="symmetric").traceless_part()
-
-
-def standard_block_cm(rho, dims: tuple[int, int],
-                      kind: str = "nonsymmetric") -> BlockCovarianceMatrix:
-    """Block CM over the standard bases of both sides."""
-    return build_block_cm(rho, standard_basis(dims[0]), standard_basis(dims[1]),
-                          kind=kind)
 
 
 def _matrix_to_json(m: np.ndarray):

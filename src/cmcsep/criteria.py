@@ -97,6 +97,11 @@ class PreparedState:
         return r
 
     @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of the state, non-decreasing."""
+        return np.linalg.eigvalsh(self.rho)
+
+    @functools.cached_property
     def pt_min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the partial transpose over B."""
         pt = matlin.partial_transpose(self.rho, self.dims, side="B")
@@ -196,11 +201,14 @@ def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
         rhs = deficit_a + (1.0 - bcm.purity_b)
     else:
         rhs = deficit_a + float(np.sum(np.diag(vt @ bcm.b @ vt.T)[:na]))
+    # lhs and rhs are on twice the scale of the singular-value test's, so
+    # the threshold doubles with them and trace => SV holds at the threshold
     return _verdict("cmc_trace", lhs - rhs,
                     {"lhs": lhs, "bound": rhs,
                      "c_singular_values": sing,
                      "index_set": list(range(na)),
-                     "swapped": swapped})
+                     "swapped": swapped},
+                    eps=2 * EPS_MARGIN)
 
 
 def cmc_schmidt(rho, dims: tuple[int, int]) -> CriterionVerdict:
@@ -270,7 +278,7 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
     if swapped:
         r = matlin.swap_subsystems(r, (da, db))
         da, db = db, da
-    if (int(np.sum(np.linalg.eigvalsh(r) > noise_eps)) <= db
+    if (int(np.sum(st.eigenvalues > noise_eps)) <= db
             and not ppt(st, st.dims).detected):
         xi = filtering.normal_form_coefficients(r / np.real(np.trace(r)), (da, db))
         total = float(np.sum(xi))
@@ -382,10 +390,23 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
                max_iter: int = sdpsolve.DEFAULT_MAX_ITER) -> CriterionVerdict:
     """Exact two-qubit covariance-matrix test as a semidefinite program; the
     dual solution doubles as a CM-witness and yields violating local
-    uncertainty observables for every detected state."""
+    uncertainty observables for every detected state.
+
+    On a state with an eigenvalue below ``filtering.DEFAULT_NOISE_EPS``,
+    such as a pure one, the solve can stall short of the gap tolerance, so
+    that state is mixed with that much white noise first.  A detection of
+    the mixture is one of the state, since mixing in noise keeps a
+    separable state separable.  The witness and LUR values are those of the
+    state solved on; ``details["noise_eps"]`` is the noise (0.0 when none).
+    """
     st = _prepared(rho, (2, 2))
+    noise_eps = 0.0
+    if st.eigenvalues[0] < filtering.DEFAULT_NOISE_EPS:
+        noise_eps = filtering.DEFAULT_NOISE_EPS
+        st = PreparedState((1.0 - noise_eps) * st.rho + noise_eps * np.eye(4) / 4,
+                           (2, 2))
     # the Gell-Mann-like basis for d = 2 is the Pauli basis, so this equals
-    # covariance.two_qubit_effective_cm(rho)
+    # covariance.two_qubit_effective_cm(st.rho)
     gamma_eff = st.block_cm.traceless_part()
     problem = _two_qubit_sdp_problem(gamma_eff)
     sol = sdpsolve.solve(problem, tol=tol, max_iter=max_iter)
@@ -393,7 +414,7 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
         return CriterionVerdict(
             name="cmc_sdp_2q", detected=None, margin=float("nan"),
             details={"solver_status": sol.status,
-                     "iterations": sol.iterations},
+                     "iterations": sol.iterations, "noise_eps": noise_eps},
             eps_margin=SDP_EPS_MARGIN, status="undetermined")
     lam_star = float(sol.x[0])
     z1 = sol.z_blocks[0]
@@ -409,6 +430,7 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
         "lur_value": lur_value(st.rho, lur.ops_a, lur.ops_b),
         "gap": sol.gap,
         "iterations": sol.iterations,
+        "noise_eps": noise_eps,
     }
     return CriterionVerdict(
         name="cmc_sdp_2q", detected=bool(lam_star < -SDP_EPS_MARGIN),

@@ -1,15 +1,13 @@
-"""Dense linear-algebra kernel: Hermitian eigensolves, SVD, unitarily
-invariant norms, and the bipartite reshuffles (partial trace, partial
-transpose, realignment) everything else is built on.
+"""Dense linear-algebra kernel: the Hermiticity check, unitarily invariant
+norms, and the bipartite reshuffles (partial trace, partial transpose,
+realignment) everything else is built on.
 
 All functions are pure and operate on plain ``numpy`` arrays; matrices are
-complex row-major throughout.  Eigen- and singular-value routines are
-deterministic for a fixed input, so seeded runs reproduce exactly.
+complex row-major throughout.  Singular-value routines are deterministic
+for a fixed input, so seeded runs reproduce exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +24,6 @@ class MatrixError(ValueError):
     """An input matrix violates a kernel precondition."""
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted non-increasing; ``eigenvectors``
-    holds the matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex array, rejecting non-finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -50,11 +32,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise MatrixError("matrix contains non-finite entries")
     return a
-
-
-def max_asymmetry(m: np.ndarray) -> float:
-    """Largest absolute entry of m - m^dagger."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 def hermitize(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
@@ -66,36 +43,13 @@ def hermitize(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise MatrixError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
     scale = max(float(np.max(np.abs(a))), 1e-300)
-    asym = max_asymmetry(a)
+    asym = float(np.max(np.abs(a - a.conj().T)))
     if asym > rtol * max(scale, 1.0):
         raise MatrixError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} "
             f"exceeds {rtol:.0e} (relative)"
         )
     return (a + a.conj().T) / 2
-
-
-def hermitian_eig(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing."""
-    h = hermitize(m)
-    w, v = np.linalg.eigh(h)
-    return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-
-
-def eigvalsh(m) -> np.ndarray:
-    """Eigenvalues only, non-increasing."""
-    h = hermitize(m)
-    return np.linalg.eigvalsh(h)[::-1].copy()
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition m = U diag(s) V^dagger.
-
-    Returns (U, s, V) with s non-negative and non-increasing.
-    """
-    a = as_matrix(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, vh.conj().T
 
 
 def ky_fan_norm(m, k: int) -> float:

@@ -1,5 +1,5 @@
 """Tests for covariance matrix construction, transformation, structure
-theorems, and reconstruction."""
+theorems, Bloch inversion, and reconstruction."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,20 @@ import pytest
 from cmcsep import covariance as cov
 from cmcsep import matlin, states
 from cmcsep.matlin import MatrixError
-from cmcsep.observables import (gellmann_like_basis, pauli_basis,
-                                standard_basis, unitary_to_orthogonal)
+from cmcsep.observables import (PAULI, ObservableBasis, gellmann_like_basis,
+                                pauli_basis, standard_basis,
+                                unitary_to_orthogonal)
 
 
 def random_orthogonal(n, rng):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))
+
+
+def rotated(basis, o):
+    """The basis K_i = sum_j O_ij M_j."""
+    return ObservableBasis(basis.dim, np.einsum("ij,jab->iab", o, basis.ops),
+                           "custom")
 
 
 def random_unitary(d, rng):
@@ -99,19 +106,22 @@ def test_block_cm_assembled_psd():
 
 def test_transform_cm_identity():
     rng = np.random.default_rng(45)
-    cm = cov.build_cm(states.random_density(2, rng=rng), pauli_basis())
-    out = cov.transform_cm(cm, np.eye(4))
+    rho = states.random_density(2, rng=rng)
+    cm = cov.build_cm(rho, pauli_basis())
+    out = cov.build_cm(rho, rotated(pauli_basis(), np.eye(4)))
     np.testing.assert_allclose(out.matrix, cm.matrix, atol=1e-14)
 
 
 def test_transform_block_cm_keeps_blocks():
+    """Local basis changes O_A (+) O_B map the block CM to
+    (O_A (+) O_B) gamma (O_A (+) O_B)^T, block by block."""
     rng = np.random.default_rng(46)
     rho = states.random_density(6, rng=rng)
     ba, bb = gellmann_like_basis(2), gellmann_like_basis(3)
     bcm = cov.build_block_cm(rho, ba, bb)
     oa = random_orthogonal(4, rng)
     ob = random_orthogonal(9, rng)
-    rot = cov.transform_block_cm(bcm, oa, ob)
+    rot = cov.build_block_cm(rho, rotated(ba, oa), rotated(bb, ob))
     big = np.zeros((13, 13))
     big[:4, :4] = oa
     big[4:, 4:] = ob
@@ -120,11 +130,16 @@ def test_transform_block_cm_keeps_blocks():
 
 
 def test_transform_cm_spectrum_invariant():
+    """The basis change K = O M maps the CM to O gamma O^T, of the same
+    spectrum."""
     rng = np.random.default_rng(47)
-    cm = cov.build_cm(states.random_density(3, rng=rng), standard_basis(3),
-                      kind="symmetric")
+    rho = states.random_density(3, rng=rng)
+    cm = cov.build_cm(rho, standard_basis(3), kind="symmetric")
     o = random_orthogonal(9, rng)
-    out = cov.transform_cm(cm, o)
+    out = cov.build_cm(rho, rotated(standard_basis(3), o), kind="symmetric")
+    np.testing.assert_allclose(out.matrix, o @ cm.matrix @ o.T, atol=1e-12)
+    np.testing.assert_allclose(out.first_moments, o @ cm.first_moments,
+                               atol=1e-12)
     np.testing.assert_allclose(np.linalg.eigvalsh(out.matrix),
                                np.linalg.eigvalsh(cm.matrix), atol=1e-9)
 
@@ -155,7 +170,8 @@ def test_reconstruct_pure_qubit_roundtrip():
 def test_reconstruct_block_roundtrip():
     rng = np.random.default_rng(50)
     rho = states.random_density(9, rng=rng)
-    bcm = cov.standard_block_cm(rho, (3, 3), kind="nonsymmetric")
+    bcm = cov.build_block_cm(rho, standard_basis(3), standard_basis(3),
+                             kind="nonsymmetric")
     rec = cov.reconstruct_state(bcm)
     assert np.linalg.norm(rec - rho) < 1e-8
 
@@ -181,17 +197,20 @@ def test_reconstruct_rejects_tampered_cm():
         cov.reconstruct_state(tampered)
 
 
+def cm_spectrum(cm):
+    """Eigenvalues of a CM, non-increasing."""
+    return np.linalg.eigvalsh((cm.matrix + cm.matrix.conj().T) / 2)[::-1]
+
+
 def test_pure_cm_structure_qubit():
+    """A pure state's non-symmetric CM is a rank d-1 projector; its
+    symmetric CM has rank 2(d-1) with eigenvalues 1/2."""
     rho = np.diag([1.0, 0.0])
-    rep = cov.check_pure_cm_structure(
-        cov.build_cm(rho, standard_basis(2), kind="nonsymmetric"))
-    assert rep["rank"] == 1 == rep["expected_rank"]
-    assert rep["nonzero_eigenvalue_deviation"] < 1e-10
-    assert rep["idempotency_error"] < 1e-8
-    rep_s = cov.check_pure_cm_structure(
-        cov.build_cm(rho, standard_basis(2), kind="symmetric"))
-    assert rep_s["rank"] == 2 == rep_s["expected_rank"]
-    assert rep_s["nonzero_eigenvalue_deviation"] < 1e-10
+    cm = cov.build_cm(rho, standard_basis(2), kind="nonsymmetric")
+    np.testing.assert_allclose(cm_spectrum(cm), [1, 0, 0, 0], atol=1e-10)
+    assert np.linalg.norm(cm.matrix @ cm.matrix - cm.matrix) < 1e-8
+    cm_s = cov.build_cm(rho, standard_basis(2), kind="symmetric")
+    np.testing.assert_allclose(cm_spectrum(cm_s), [0.5, 0.5, 0, 0], atol=1e-10)
 
 
 def test_pure_cm_structure_random_d4():
@@ -200,10 +219,10 @@ def test_pure_cm_structure_random_d4():
     v /= np.linalg.norm(v)
     cm = cov.build_cm(np.outer(v, v.conj()), standard_basis(4),
                       kind="nonsymmetric")
-    rep = cov.check_pure_cm_structure(cm)
-    assert rep["rank"] == 3
-    assert abs(rep["trace"] - 3.0) < 1e-10
-    assert rep["idempotency_error"] < 1e-8
+    w = cm_spectrum(cm)
+    assert int(np.sum(w > 1e-6)) == 3
+    assert abs(np.sum(w) - 3.0) < 1e-10
+    assert np.linalg.norm(cm.matrix @ cm.matrix - cm.matrix) < 1e-8
 
 
 def test_concavity_single_state():
@@ -236,6 +255,33 @@ def test_bloch_invert_centered_state_fixed():
     out, wmin = cov.bloch_invert(rho, side="A")
     np.testing.assert_allclose(out, rho, atol=1e-12)
     assert wmin > -1e-12
+
+
+def pauli_table_bloch_invert(rho, side):
+    """Bloch inversion through the 4x4 table <sigma_mu x sigma_nu>: flip the
+    chosen side's Bloch vector, shift the correlations by -2 <s^A><s^B>, and
+    rebuild the state term by term."""
+    sig = [PAULI[k] for k in "IXYZ"]
+    lam = np.array([[np.real(np.trace(rho @ np.kron(si, sj))) for sj in sig]
+                    for si in sig])
+    new = lam.copy()
+    if side == "A":
+        new[1:, 0] = -lam[1:, 0]
+    else:
+        new[0, 1:] = -lam[0, 1:]
+    new[1:, 1:] = lam[1:, 1:] - 2.0 * np.outer(lam[1:, 0], lam[0, 1:])
+    return sum(new[i, j] * np.kron(sig[i], sig[j])
+               for i in range(4) for j in range(4)) / 4.0
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_bloch_invert_matches_pauli_table(side):
+    for i in range(50):
+        rho = states.random_density(4, rng=np.random.default_rng([5, i]))
+        out, wmin = cov.bloch_invert(rho, side=side)
+        ref = pauli_table_bloch_invert(rho, side)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
+        assert abs(wmin - np.linalg.eigvalsh(ref)[0]) < 1e-14
 
 
 def test_bloch_invert_preserves_block_cm():
@@ -277,7 +323,8 @@ def test_symmetric_equals_transpose_iff_mixed_marginals():
     """gamma = gamma^T in the standard basis forces 1/d marginals; states
     with maximally mixed marginals give a symmetric block CM."""
     rho = states.bell_phi_plus()
-    bcm = cov.standard_block_cm(rho, (2, 2), kind="nonsymmetric")
+    basis = standard_basis(2)
+    bcm = cov.build_block_cm(rho, basis, basis, kind="nonsymmetric")
     full = bcm.assembled()
     assert np.max(np.abs(full - full.T)) < 1e-10
 
@@ -285,7 +332,7 @@ def test_symmetric_equals_transpose_iff_mixed_marginals():
     rho2 = states.random_density(4, rng=rng)
     marg = matlin.partial_trace(rho2, (2, 2), "A")
     if np.max(np.abs(marg - np.eye(2) / 2)) > 1e-3:
-        bcm2 = cov.standard_block_cm(rho2, (2, 2), kind="nonsymmetric")
+        bcm2 = cov.build_block_cm(rho2, basis, basis, kind="nonsymmetric")
         full2 = bcm2.assembled()
         assert np.max(np.abs(full2 - full2.T)) > 1e-8
 

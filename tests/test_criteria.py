@@ -215,6 +215,7 @@ def test_sdp_lur_identity():
         rho = states.random_density(4, rng=rng)
         v = cmc_sdp_2q(rho)
         assert v.status == "ok"
+        assert v.details["noise_eps"] == 0.0
         assert abs(v.details["lur_value"] - v.details["witness_value"]) < 1e-7
 
 
@@ -227,6 +228,25 @@ def test_sdp_witness_sound_on_separable_states():
         sep = states.random_separable(2, 2, rng=rng)
         val = float(np.tensordot(two_qubit_effective_cm(sep), z1, axes=2))
         assert val >= 1.0 - 1e-7
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (3, 4)])
+def test_run_all_on_pure_states(dims):
+    """Every criterion returns a determined verdict on random pure states;
+    the two-qubit SDP solves them with white noise mixed in, and its LUR
+    value matches its witness value on each detection."""
+    da, db = dims
+    for i in range(60):
+        rho = states.random_density(da * db, rank=1,
+                                    rng=np.random.default_rng([16, da, db, i]))
+        verdicts = run_all(rho, dims)
+        assert [v.name for v in verdicts if v.status != "ok"] == []
+        for v in verdicts:
+            if v.name == "cmc_sdp_2q":
+                assert v.details["noise_eps"] == filtering.DEFAULT_NOISE_EPS
+                if v.detected:
+                    assert abs(v.details["lur_value"]
+                               - v.details["witness_value"]) < 1e-7
 
 
 def test_lur_value_empty():
@@ -328,11 +348,13 @@ def test_extract_lur_matches_einsum_reference():
 
 def test_hierarchy_on_chessboard_samples():
     """de Vicente and diagonal-trace detections are subsets of the
-    singular-value test; CCNR detections are subsets of the Schmidt test."""
+    singular-value test; CCNR detections are subsets of the Schmidt test.
+    The last seed is a nearly pure state with trace margin 1.54e-9 and SV
+    margin 8.0e-10, where the trace test's doubled scale shows."""
     count = 0
-    for i in range(150):
-        rng = np.random.default_rng([200, i])
-        rho = states.sample_chessboard(rng)
+    seeds = [[200, i] for i in range(150)] + [[(4110 << 21) + 8781, 0]]
+    for seed in seeds:
+        rho = states.sample_chessboard(np.random.default_rng(seed))
         sv = cmc_singular_values(rho, (3, 3)).detected
         if de_vicente(rho, (3, 3)).detected:
             assert sv
