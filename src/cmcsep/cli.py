@@ -52,6 +52,8 @@ def load_statefile(path: str) -> tuple[np.ndarray, tuple[int, int], dict]:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: state file must be a JSON object")
     for key in ("dims", "matrix"):
         if key not in doc:
             raise InputError(f"{path}: missing required key {key!r}")

@@ -69,29 +69,37 @@ def f_rho(rho, rho_a, rho_b) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _local_generators(da: int, db: int) -> np.ndarray:
-    """Stack of the n x n local operators G_k x 1, then 1 x G_k, over the
-    traceless Gell-Mann-like elements of each side.
+def _local_generators(da: int, db: int) -> tuple[np.ndarray, ...]:
+    """Flat layouts of the n x n local operators L_k = G_k x 1, then 1 x G_k,
+    over the traceless Gell-Mann-like elements G_k of each side: the (k n, n)
+    row stack of the L_k, the (k, n^2) stack of the transposed L_k, and the
+    flattened G_k of A and of B, so each Newton product is one 2-D matmul.
 
-    Cached per dims; the returned array is read-only."""
-    ops = np.array(
-        [np.kron(g, np.eye(db)) for g in gellmann_like_basis(da).ops[1:]]
-        + [np.kron(np.eye(da), g) for g in gellmann_like_basis(db).ops[1:]])
-    ops.flags.writeable = False
-    return ops
+    Cached per dims; the returned arrays are read-only."""
+    ga = gellmann_like_basis(da).ops[1:]
+    gb = gellmann_like_basis(db).ops[1:]
+    ops = np.array([np.kron(g, np.eye(db)) for g in ga]
+                   + [np.kron(np.eye(da), g) for g in gb])
+    k, n = ops.shape[:2]
+    out = (ops.reshape(k * n, n), ops.transpose(0, 2, 1).reshape(k, n * n),
+           ga.reshape(len(ga), -1), gb.reshape(len(gb), -1))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
-def newton_system(r: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def newton_system(r: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of h -> log tr[e^(X/2) r e^(X/2)] at h = 0, with
-    X = sum_k h_k L_k over the local generators ``ops`` and tr r = 1.
+    X = sum_k h_k L_k over the generator layouts ``rows``, ``cols`` and tr r = 1.
 
     The gradient is <L_k> and the Hessian Re<L_k L_l> - <L_k><L_l>: the
     symmetric block covariance matrix of r on the traceless rows."""
-    k, n = ops.shape[:2]
-    m = (ops @ r).reshape(k, n * n)
-    grad = np.real(m[:, ::n + 1].sum(axis=1))
-    hess = np.real(ops.transpose(0, 2, 1).reshape(k, n * n) @ m.T)
-    return grad, hess - np.outer(grad, grad)
+    k, nn = cols.shape
+    m = (rows @ r).reshape(k, nn)
+    grad = np.real(m[:, ::r.shape[0] + 1].sum(axis=1))
+    hess = np.real(cols @ m.T)
+    return grad, hess - grad[:, None] * grad
 
 
 def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
@@ -121,9 +129,7 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
         applied_eps = noise_eps
 
     r = r / np.real(np.trace(r))
-    ops = _local_generators(da, db)
-    ga = gellmann_like_basis(da).ops[1:]
-    gb = gellmann_like_basis(db).ops[1:]
+    rows, cols, flat_a, flat_b = _local_generators(da, db)
     ka = da * da - 1
     f_a = np.eye(da, dtype=complex)
     f_b = np.eye(db, dtype=complex)
@@ -135,12 +141,12 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     while True:
         r4 = r.reshape(da, db, da, db)
         converged = bool(
-            np.max(np.abs(np.einsum("abcb->ac", r4) - eye_a)) <= tol
-            and np.max(np.abs(np.einsum("abad->bd", r4) - eye_b)) <= tol)
+            np.abs(r4.trace(axis1=1, axis2=3) - eye_a).max() <= tol
+            and np.abs(r4.trace(axis1=0, axis2=2) - eye_b).max() <= tol)
         if converged or steps >= max_iter:
             break
         steps += 1
-        grad, hess = newton_system(r, ops)
+        grad, hess = newton_system(r, rows, cols)
         try:
             h = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -149,12 +155,13 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
         h *= min(1.0, STEP_CAP / np.max(np.abs(h)))
         slope = float(grad @ h)
         # exp(t H/2) = V e^(t w/2) V^dagger for every trial t of the search
-        wa, va = np.linalg.eigh(np.tensordot(h[:ka], ga, axes=1))
-        wb, vb = np.linalg.eigh(np.tensordot(h[ka:], gb, axes=1))
+        wa, va = np.linalg.eigh((h[:ka] @ flat_a).reshape(da, da))
+        wb, vb = np.linalg.eigh((h[ka:] @ flat_b).reshape(db, db))
+        va_h, vb_h = va.conj().T, vb.conj().T
         t = 1.0
         while True:
-            a = (va * np.exp(t * wa / 2)) @ va.conj().T
-            b = (vb * np.exp(t * wb / 2)) @ vb.conj().T
+            a = (va * np.exp(t * wa / 2)) @ va_h
+            b = (vb * np.exp(t * wb / 2)) @ vb_h
             k = (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
             nxt = k @ r @ k
             tr = float(nxt.trace().real)

@@ -55,6 +55,15 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true", '["dims", "matrix"]'])
+def test_non_object_json_exit_code(tmp_path, capsys, text):
+    """Valid JSON whose top level is not an object is bad input, not a crash."""
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    assert run_cli(["detect", str(path)]) == 2
+    assert "state file must be a JSON object" in capsys.readouterr().err
+
+
 def test_invalid_state_exit_code(tmp_path, capsys):
     path = tmp_path / "nonpsd.json"
     bad = np.diag([1.5, -0.5, 0.0, 0.0])

@@ -57,6 +57,94 @@ def reference_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
     return max(dev_a, dev_b) <= tol, da * db * np.linalg.svd(xi_mat, compute_uv=False)
 
 
+def _reference_newton_system(r, ops):
+    """Gradient and Hessian of the Newton step from the (k, n, n) stack of
+    local generators, by one batched matmul."""
+    k, n = ops.shape[:2]
+    m = (ops @ r).reshape(k, n * n)
+    grad = np.real(m[:, ::n + 1].sum(axis=1))
+    hess = np.real(ops.transpose(0, 2, 1).reshape(k, n * n) @ m.T)
+    return grad, hess - np.outer(grad, grad)
+
+
+def reference_newton_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
+                                 max_iter=filtering.DEFAULT_MAX_ITER,
+                                 noise_eps=filtering.DEFAULT_NOISE_EPS):
+    """The damped Newton loop on the (k, n, n) generator stack with
+    ``np.tensordot`` for H_A and H_B: the pinned form of ``normal_form``,
+    whose output the flat-layout kernel must reproduce bit for bit."""
+    da, db = int(dims[0]), int(dims[1])
+    n = da * db
+    r = hermitize(rho, rtol=matlin.STATE_RTOL)
+    if r.shape != (n, n):
+        raise MatrixError(f"state shape {r.shape} does not match dims {dims}")
+    applied_eps = 0.0
+    if float(np.linalg.eigvalsh(r)[0]) < noise_eps:
+        r = (1.0 - noise_eps) * r + noise_eps * np.eye(n) / n
+        applied_eps = noise_eps
+
+    r = r / np.real(np.trace(r))
+    ga = gellmann_like_basis(da).ops[1:]
+    gb = gellmann_like_basis(db).ops[1:]
+    ops = np.array([np.kron(g, np.eye(db)) for g in ga]
+                   + [np.kron(np.eye(da), g) for g in gb])
+    ka = da * da - 1
+    f_a = np.eye(da, dtype=complex)
+    f_b = np.eye(db, dtype=complex)
+    f_val = 1.0
+    history = [1.0]
+    eye_a = np.eye(da) / da
+    eye_b = np.eye(db) / db
+    steps = 0
+    while True:
+        r4 = r.reshape(da, db, da, db)
+        converged = bool(
+            np.max(np.abs(np.einsum("abcb->ac", r4) - eye_a)) <= tol
+            and np.max(np.abs(np.einsum("abad->bd", r4) - eye_b)) <= tol)
+        if converged or steps >= max_iter:
+            break
+        steps += 1
+        grad, hess = _reference_newton_system(r, ops)
+        try:
+            h = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise MatrixError("singular Hessian during filtering; input state "
+                              "is effectively rank deficient") from None
+        h *= min(1.0, filtering.STEP_CAP / np.max(np.abs(h)))
+        slope = float(grad @ h)
+        wa, va = np.linalg.eigh(np.tensordot(h[:ka], ga, axes=1))
+        wb, vb = np.linalg.eigh(np.tensordot(h[ka:], gb, axes=1))
+        t = 1.0
+        while True:
+            a = (va * np.exp(t * wa / 2)) @ va.conj().T
+            b = (vb * np.exp(t * wb / 2)) @ vb.conj().T
+            k = (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+            nxt = k @ r @ k
+            tr = float(nxt.trace().real)
+            if (np.log(tr) <= filtering.ARMIJO_C * t * slope + filtering.LOG_SLACK
+                    or t < filtering.MIN_STEP):
+                break
+            t /= 2
+        f_val *= tr
+        r = (nxt + nxt.conj().T) / (2 * tr)
+        f_a = a @ f_a
+        f_b = b @ f_b
+        history.append(f_val)
+
+    return filtering.NormalForm(
+        xi=filtering.normal_form_coefficients(r, (da, db)),
+        filter_a=f_a,
+        filter_b=f_b,
+        rho_tilde=r,
+        converged=converged,
+        f_value=f_val,
+        iterations=steps,
+        f_history=np.array(history),
+        noise_eps=applied_eps,
+        dims=(da, db),
+    )
+
+
 def test_f_all_maximally_mixed_is_one():
     assert abs(f_rho(np.eye(6) / 6, np.eye(2) / 2, np.eye(3) / 3) - 1.0) < 1e-12
 
@@ -224,7 +312,7 @@ def test_newton_hessian_is_block_cm(dims):
     iterate = normal_form(rho, dims, max_iter=1).rho_tilde
     ga, gb = gellmann_like_basis(da), gellmann_like_basis(db)
     grad, hess = filtering.newton_system(
-        iterate, filtering._local_generators(da, db))
+        iterate, *filtering._local_generators(da, db)[:2])
     bcm = build_block_cm(iterate, ga, gb, kind="symmetric")
     assert np.max(np.abs(hess - bcm.traceless_part())) < 1e-12
     np.testing.assert_allclose(
@@ -291,3 +379,64 @@ def test_normal_form_stops_on_marginal_tolerance(dims, tol):
         one = normal_form(rho, dims, tol=tol, max_iter=1)
         assert not one.converged
         assert _marginal_deviation(one.rho_tilde, dims) > tol
+
+
+def _assert_same_normal_form(nf, ref):
+    for name in ("xi", "filter_a", "filter_b", "rho_tilde", "f_history"):
+        assert np.array_equal(getattr(nf, name), getattr(ref, name)), name
+    assert (nf.iterations, nf.converged, nf.noise_eps, nf.f_value) \
+        == (ref.iterations, ref.converged, ref.noise_eps, ref.f_value)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (2, 5)])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_normal_form_pinned_to_reference_loop(dims, rank):
+    """The flat-layout Newton kernel reproduces the pinned loop bit for
+    bit: coefficients, filters, normal form, objective history and steps."""
+    da, db = dims
+    for i in range(6):
+        rng = np.random.default_rng([106, da, db, i])
+        rho = states.random_density(
+            da * db, rank=None if rank == "full" else da * db // 2 - i % 2, rng=rng)
+        _assert_same_normal_form(normal_form(rho, dims),
+                                 reference_newton_normal_form(rho, dims))
+
+
+@pytest.mark.parametrize(
+    "rho", [states.upb_tiles(0.5), states.upb_tiles(1.0)]
+    + [states.sample_chessboard(np.random.default_rng([107, i])) for i in range(100)],
+    ids=["upb_0.5", "upb_1"] + [f"chessboard_{i}" for i in range(100)])
+def test_normal_form_pinned_on_bound_entangled_states(rho):
+    _assert_same_normal_form(normal_form(rho, (3, 3)),
+                             reference_newton_normal_form(rho, (3, 3)))
+
+
+def test_cmc_filter_pinned_on_swapped_dims(monkeypatch):
+    """At (3, 2) cmc_filter filters the swapped state; its verdict is the
+    same with the pinned loop in place of normal_form."""
+    rhos = [states.random_density(6, rank=rank, rng=np.random.default_rng([108, i]))
+            for i, rank in enumerate([None, None, None, 4, 5])]
+    got = [cmc_filter(rho, (3, 2)) for rho in rhos]
+    monkeypatch.setattr(filtering, "normal_form", reference_newton_normal_form)
+    for rho, v in zip(rhos, got):
+        ref = cmc_filter(rho, (3, 2))
+        assert v.details["swapped"] and "separable_by" not in v.details
+        assert (v.detected, v.margin) == (ref.detected, ref.margin)
+        for key in ("xi", "filter_a", "filter_b"):
+            assert np.array_equal(v.details[key], ref.details[key]), key
+        for key in ("iterations", "converged", "noise_eps", "f_value"):
+            assert v.details[key] == ref.details[key], key
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 4)])
+def test_local_generator_layouts_are_read_only(dims):
+    da, db = dims
+    n, k = da * db, da * da + db * db - 2
+    layouts = filtering._local_generators(da, db)
+    assert [a.shape for a in layouts] == [
+        (k * n, n), (k, n * n), (da * da - 1, da * da), (db * db - 1, db * db)]
+    for arr in layouts:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert filtering._local_generators(da, db) is layouts

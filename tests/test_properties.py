@@ -1,7 +1,8 @@
 """Property tests: every two-qubit verdict is invariant under local unitaries
-and under exchanging the subsystems, and so are the verdicts and margins at
-uneven dimensions.  The filter normal form, and so the filter verdict, is
-invariant under local invertible filters.
+and under exchanging the subsystems.  So are the verdicts and margins at
+larger dimensions: under local unitaries at (2,3), (3,3) and (2,5), and under
+the exchange at (2,3) and (3,4).  The filter normal form, and so the filter
+verdict, is invariant under local invertible filters.
 
 Examples are derandomized, so the suite draws the same states on every run.
 """
@@ -17,6 +18,10 @@ from cmcsep.filtering import normal_form
 LAMBDA_TOL = 1e-7
 XI_TOL = 1e-7
 SWAP_MARGIN_TOL = 1e-12
+# The filter stops once both marginals are within 1e-9 of maximally mixed,
+# so the coefficient sums of a state and of its local rotation agree only
+# to that tolerance (at most 1.8e-9 on 120 states at (2,3), (3,3), (2,5))
+LU_FILTER_MARGIN_TOL = 1e-8
 # cmc_trace is left out: at d_A != d_B its bound rests on a null singular
 # vector of C that rounding picks
 SWAP_MARGIN_CRITERIA = ("ppt", "ccnr", "de_vicente", "cmc_singular_values",
@@ -88,6 +93,31 @@ def test_uneven_verdicts_invariant_under_subsystem_swap(dims, seed, separable):
     for v, w in zip(here, there):
         if v.name in SWAP_MARGIN_CRITERIA:
             assert abs(v.margin - w.margin) <= SWAP_MARGIN_TOL, v.name
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 5)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**31 - 1), separable=st.booleans())
+def test_verdicts_and_margins_invariant_under_local_unitaries(dims, seed, separable):
+    """(U_A x U_B) rho (U_A x U_B)^dagger gets the same flags, and the same
+    margins within SWAP_MARGIN_TOL (LU_FILTER_MARGIN_TOL for the filter);
+    cmc_trace is compared only at d_A = d_B."""
+    da, db = dims
+    rng = np.random.default_rng([99, da, db, seed])
+    if separable:
+        rho = states.random_separable(da, db, int(rng.integers(4, 16)), rng=rng)
+    else:
+        rho = states.random_density(da * db, rng=rng)
+    u = np.kron(_haar_unitary(da, rng), _haar_unitary(db, rng))
+    here = run_all(rho, dims)
+    there = run_all(u @ rho @ u.conj().T, dims)
+    assert [(v.name, v.detected) for v in there] == \
+        [(v.name, v.detected) for v in here]
+    compared = SWAP_MARGIN_CRITERIA + (("cmc_trace",) if da == db else ())
+    for v, w in zip(here, there):
+        if v.name in compared:
+            tol = LU_FILTER_MARGIN_TOL if v.name == "cmc_filter" else SWAP_MARGIN_TOL
+            assert abs(v.margin - w.margin) <= tol, v.name
 
 
 def _local_filter(d: int, rng: np.random.Generator) -> np.ndarray:
