@@ -30,13 +30,13 @@ class InputError(Exception):
     """Bad command-line input or state file; maps to exit code 2."""
 
 
-def _criterion_names(spec: str) -> list[str]:
-    """Criterion names for a comma list of CLI spellings."""
+def _spellings(spec: str) -> list[str]:
+    """The CLI criterion spellings of a comma list, stripped and checked."""
     spellings = [x.strip() for x in spec.split(",") if x.strip()]
     unknown = [x for x in spellings if x not in criteria.CRITERIA]
     if unknown:
         raise InputError(f"unknown criteria: {', '.join(unknown)}")
-    return [criteria.CRITERIA[x] for x in spellings]
+    return spellings
 
 
 def load_statefile(path: str) -> tuple[np.ndarray, tuple[int, int], dict]:
@@ -67,7 +67,7 @@ def load_statefile(path: str) -> tuple[np.ndarray, tuple[int, int], dict]:
             raise ValueError(f"matrix must be n x n x [re, im], got {raw.shape}")
         rho = raw[..., 0] + 1j * raw[..., 1]
         rho = states.validate_density(rho, (dims[0], dims[1]))
-    except (ValueError, MatrixError) as exc:
+    except (ValueError, TypeError, MatrixError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     return rho, (dims[0], dims[1]), doc.get("metadata", {})
 
@@ -107,7 +107,8 @@ def _worker_count() -> int:
 
 def cmd_detect(args) -> int:
     rho, dims, _ = load_statefile(args.statefile)
-    wanted = None if args.criteria == "all" else _criterion_names(args.criteria)
+    wanted = (None if args.criteria == "all"
+              else [criteria.CRITERIA[x] for x in _spellings(args.criteria)])
     verdicts = criteria.run_all(rho, dims, criteria=wanted)
     doc = [v.to_json() for v in verdicts]
     if args.basis:
@@ -266,11 +267,12 @@ def bisect_threshold(family: str, crit_name: str, p_lo: float, p_hi: float,
 
 
 def cmd_threshold(args) -> int:
-    if len(_criterion_names(args.criterion)) != 1:
+    spellings = _spellings(args.criterion)
+    if len(spellings) != 1:
         raise InputError(f"need one criterion, got {args.criterion!r}")
-    p_star = bisect_threshold(args.family, args.criterion, args.p_lo, args.p_hi,
+    p_star = bisect_threshold(args.family, spellings[0], args.p_lo, args.p_hi,
                               tol=args.tol)
-    _emit({"family": args.family, "criterion": args.criterion,
+    _emit({"family": args.family, "criterion": spellings[0],
            "p_star": p_star, "tol": args.tol, "version": __version__},
           args.output)
     return EXIT_OK
@@ -327,8 +329,7 @@ def run_benchmark(n: int, seed: int, crit_names: list[str],
 
 def cmd_benchmark(args) -> int:
     names = (list(BENCHMARK_CRITERIA) if args.criteria == "default"
-             else [x.strip() for x in args.criteria.split(",") if x.strip()])
-    _criterion_names(",".join(names))  # rejects unknown spellings
+             else _spellings(args.criteria))
     if args.n < 0:
         raise InputError("sample count must be non-negative")
     if args.seed < 0:

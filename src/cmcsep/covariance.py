@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import STATE_RTOL, MatrixError, as_matrix, hermitize
+from .matlin import MatrixError, as_matrix, as_state, hermitize
 from .observables import ObservableBasis, pauli_basis
 
 # Accumulated rounding across d^2-term sums; eigenvalues below this floor
@@ -49,7 +49,8 @@ class BlockCovarianceMatrix:
 
     ``a`` and ``b`` are the local covariance matrices of the reduced states,
     ``c`` the cross-correlation block <A_i x B_j> - <A_i><B_j> (real in any
-    Hermitian product basis).
+    Hermitian product basis), and ``joint`` the joint moments <A_i x B_j>
+    it is built from.
     """
 
     kind: str
@@ -62,6 +63,7 @@ class BlockCovarianceMatrix:
     purity_b: float = 0.0
     moments_a: np.ndarray | None = field(default=None, repr=False)
     moments_b: np.ndarray | None = field(default=None, repr=False)
+    joint: np.ndarray | None = field(default=None, repr=False)
 
     def assembled(self) -> np.ndarray:
         top = np.hstack([self.a, self.c.astype(self.a.dtype)])
@@ -108,7 +110,7 @@ def build_cm(rho, basis: ObservableBasis, kind: str = "symmetric") -> Covariance
     The symmetric kind replaces the first term by the anticommutator mean
     and is real; both kinds are positive semidefinite for valid states.
     """
-    r = hermitize(rho, rtol=STATE_RTOL)
+    r = hermitize(rho)
     d = basis.dim
     if r.shape != (d, d):
         raise MatrixError(f"state shape {r.shape} does not match basis dim {d}")
@@ -136,11 +138,7 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
                    kind: str = "symmetric") -> BlockCovarianceMatrix:
     """Block covariance matrix of a bipartite state over local bases."""
     da, db = basis_a.dim, basis_b.dim
-    r = hermitize(rho, rtol=STATE_RTOL)
-    if r.shape != (da * db, da * db):
-        raise MatrixError(
-            f"state shape {r.shape} does not match dims {da}x{db}"
-        )
+    r = as_state(rho, (da, db)).rho
     # marginals of an exactly Hermitian matrix are exactly Hermitian
     rho_a = matlin.partial_trace(r, (da, db), keep="A")
     rho_b = matlin.partial_trace(r, (da, db), keep="B")
@@ -154,6 +152,7 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
         purity_a=float(np.real(np.trace(rho_a @ rho_a))),
         purity_b=float(np.real(np.trace(rho_b @ rho_b))),
         moments_a=cm_a.first_moments, moments_b=cm_b.first_moments,
+        joint=joint,
     )
     # the marginal CMs are principal submatrices, so by eigenvalue
     # interlacing this one check also covers both of them
@@ -270,9 +269,7 @@ def bloch_invert(rho, side: str = "A") -> tuple[np.ndarray, float]:
     The output need not be positive semidefinite; its minimal eigenvalue is
     returned alongside.
     """
-    r = hermitize(rho, rtol=STATE_RTOL)
-    if r.shape != (4, 4):
-        raise MatrixError("Bloch inversion is defined for two-qubit states")
+    r = as_state(rho, (2, 2)).rho
     if side not in ("A", "B"):
         raise MatrixError(f"side must be 'A' or 'B', got {side!r}")
     rho_a = matlin.partial_trace(r, (2, 2), keep="A")

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import filtering, matlin, sdpsolve
 from .covariance import BlockCovarianceMatrix, build_block_cm
-from .matlin import STATE_RTOL, MatrixError, hermitize
+from .matlin import CheckedState, MatrixError, as_state, hermitize
 from .observables import gellmann_like_basis, pauli_basis
 from .schmidt import SchmidtOperatorDecomposition, operator_schmidt
 
@@ -73,33 +73,15 @@ class LurSet:
     bound: float = 1.0
 
 
-class PreparedState:
+class PreparedState(CheckedState):
     """A bipartite state as the criteria see it: checked once, with every
     quantity that several criteria share computed on first use and kept.
 
-    Every criterion accepts one in place of ``rho``.  ``run_all`` builds one
-    per call; a caller that evaluates criteria one at a time on the same
-    state can build one and pass it to each.
+    Every criterion accepts one in place of ``rho`` and evaluates its
+    ``oriented`` form, which keeps the shared quantities.  ``run_all`` builds
+    one per call; a caller that evaluates criteria one at a time on the
+    same state can build one and pass it to each.
     """
-
-    def __init__(self, rho, dims: tuple[int, int]):
-        self._raw = rho
-        self.dims = (int(dims[0]), int(dims[1]))
-
-    @functools.cached_property
-    def rho(self) -> np.ndarray:
-        """The state, checked Hermitian and of shape dA dB x dA dB, made
-        exactly Hermitian."""
-        r = hermitize(self._raw, rtol=STATE_RTOL)
-        n = self.dims[0] * self.dims[1]
-        if r.shape != (n, n):
-            raise MatrixError(f"state shape {r.shape} does not match dims {self.dims}")
-        return r
-
-    @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum of the state, non-decreasing."""
-        return np.linalg.eigvalsh(self.rho)
 
     @functools.cached_property
     def pt_min_eigenvalue(self) -> float:
@@ -111,21 +93,19 @@ class PreparedState:
     def block_cm(self) -> BlockCovarianceMatrix:
         """Symmetric block CM over the Gell-Mann-like bases of both sides."""
         da, db = self.dims
-        return build_block_cm(self.rho, gellmann_like_basis(da),
+        return build_block_cm(self, gellmann_like_basis(da),
                               gellmann_like_basis(db), kind="symmetric")
 
     @functools.cached_property
     def schmidt(self) -> SchmidtOperatorDecomposition:
         """Operator Schmidt decomposition."""
-        return operator_schmidt(self.rho, *self.dims)
+        return operator_schmidt(self, *self.dims)
 
 
 def _prepared(rho, dims: tuple[int, int]) -> PreparedState:
-    if not isinstance(rho, PreparedState):
-        return PreparedState(rho, dims)
-    if rho.dims != (int(dims[0]), int(dims[1])):
-        raise MatrixError(f"prepared state has dims {rho.dims}, not {tuple(dims)}")
-    return rho
+    if isinstance(rho, PreparedState):
+        return as_state(rho, dims)
+    return PreparedState(rho, dims)
 
 
 def _verdict(name: str, margin: float, details: dict,
@@ -138,25 +118,24 @@ def _verdict(name: str, margin: float, details: dict,
 def ppt(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Positivity of the partial transpose; margin is minus its smallest
     eigenvalue."""
-    wmin = _prepared(rho, dims).pt_min_eigenvalue
+    wmin = _prepared(rho, dims).oriented.pt_min_eigenvalue
     return _verdict("ppt", -wmin, {"min_eigenvalue": wmin})
 
 
 def ccnr(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Realignment test: the operator Schmidt coefficients of a separable
     state sum to at most one."""
-    total = float(np.sum(_prepared(rho, dims).schmidt.lambdas))
+    total = float(np.sum(_prepared(rho, dims).oriented.schmidt.lambdas))
     return _verdict("ccnr", total - 1.0, {"schmidt_sum": total})
 
 
 def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Bloch-representation test: trace norm of the traceless-sector joint
     moments against sqrt((1-1/dA)(1-1/dB))."""
-    st = _prepared(rho, dims)
+    st = _prepared(rho, dims).oriented
     da, db = st.dims
-    joint = matlin.joint_moments(st.rho, gellmann_like_basis(da).ops[1:],
-                                 gellmann_like_basis(db).ops[1:])
-    norm = matlin.trace_norm(joint)
+    # the Gell-Mann-like bases lead with the identity: drop row and column 0
+    norm = matlin.trace_norm(st.block_cm.joint[1:, 1:])
     bound = np.sqrt((1.0 - 1.0 / da) * (1.0 - 1.0 / db))
     return _verdict("de_vicente", norm - bound,
                     {"bloch_trace_norm": norm, "bound": float(bound)})
@@ -165,12 +144,16 @@ def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
 def cmc_singular_values(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """||C||_tr^2 <= (1 - tr rho_A^2)(1 - tr rho_B^2) for separable states;
     basis independent by local orthogonal invariance of the trace norm."""
-    bcm = _prepared(rho, dims).block_cm
+    st = _prepared(rho, dims).oriented
+    bcm = st.block_cm
     norm = matlin.trace_norm(bcm.c)
     bound = np.sqrt(max((1.0 - bcm.purity_a) * (1.0 - bcm.purity_b), 0.0))
+    pa, pb = bcm.purity_a, bcm.purity_b
+    if st.swapped:
+        pa, pb = pb, pa
     return _verdict("cmc_singular_values", norm - bound,
                     {"c_trace_norm": norm, "bound": float(bound),
-                     "purity_a": bcm.purity_a, "purity_b": bcm.purity_b})
+                     "purity_a": pa, "purity_b": pb})
 
 
 def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
@@ -182,15 +165,10 @@ def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
     can no longer subtract the B-side pure-state trace, so the B term stays
     at the bare diagonal sum over them (a valid, weaker bound).
     """
-    st = _prepared(rho, dims)
+    # with d_A > d_B the CM of the swapped state, not C transposed: the last
+    # rotated B direction is a null singular vector of C picked by rounding
+    st = _prepared(rho, dims).oriented
     da, db = st.dims
-    swapped = da > db
-    if swapped:
-        # the CM of the swapped state, not the shared one transposed: the
-        # last rotated B direction is a null singular vector of C that only
-        # rounding picks, so transposing C would move the bound
-        st = PreparedState(matlin.swap_subsystems(st.rho, (da, db)), (db, da))
-        da, db = db, da
     bcm = st.block_cm
     u, sing, vt = np.linalg.svd(bcm.c)
     rot_c = u.T @ bcm.c @ vt.T  # diagonal, largest first
@@ -207,14 +185,14 @@ def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
                     {"lhs": lhs, "bound": rhs,
                      "c_singular_values": sing,
                      "index_set": list(range(na)),
-                     "swapped": swapped},
+                     "swapped": st.swapped},
                     eps=2 * EPS_MARGIN)
 
 
 def cmc_schmidt(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Trace test in the operator Schmidt basis:
     2 sum |l_k - l_k^2 gA_k gB_k| <= 2 - sum l_k^2 (gA_k^2 + gB_k^2)."""
-    dec = _prepared(rho, dims).schmidt
+    dec = _prepared(rho, dims).oriented.schmidt
     lam, ga, gb = dec.lambdas, dec.g_a, dec.g_b
     lhs = 2.0 * float(np.sum(np.abs(lam - lam**2 * ga * gb)))
     rhs = 2.0 - float(np.sum(lam**2 * (ga**2 + gb**2)))
@@ -231,7 +209,7 @@ def cmc_kyfan_weyl(rho, dims: tuple[int, int], s: int = 1) -> CriterionVerdict:
         raise MatrixError("Ky-Fan refinement needs equal local dimensions")
     if not 1 <= s <= da - 1:
         raise MatrixError(f"shift s={s} outside [1, {da - 1}]")
-    bcm = _prepared(rho, dims).block_cm
+    bcm = _prepared(rho, dims).oriented.block_cm
     k = da * da - da + 1 + s
     c_norm = matlin.ky_fan_norm(bcm.c, k)
     a_term = k * matlin.operator_norm(bcm.a) - s
@@ -271,15 +249,11 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
     margin is that of the unfiltered coefficients against the de Vicente
     bound, with ``details["separable_by"] = "low_rank_ppt"``.
     """
-    st = _prepared(rho, dims)
+    st = _prepared(rho, dims).oriented
     da, db = st.dims
-    r = st.rho
-    swapped = da > db
-    if swapped:
-        r = matlin.swap_subsystems(r, (da, db))
-        da, db = db, da
     if (int(np.sum(st.eigenvalues > noise_eps)) <= db
             and not ppt(st, st.dims).detected):
+        r = st.rho
         xi = filtering.normal_form_coefficients(r / np.real(np.trace(r)), (da, db))
         total = float(np.sum(xi))
         bound = filter_xi_bound((da, db), converged=False)
@@ -287,8 +261,8 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
             name="cmc_filter", detected=False, margin=total - bound,
             details={"xi": xi, "xi_sum": total, "bound": bound,
                      "converged": False, "iterations": 0, "noise_eps": 0.0,
-                     "separable_by": "low_rank_ppt", "swapped": swapped})
-    nf = filtering.normal_form(r, (da, db), tol=tol, max_iter=max_iter,
+                     "separable_by": "low_rank_ppt", "swapped": st.swapped})
+    nf = filtering.normal_form(st, st.dims, tol=tol, max_iter=max_iter,
                                noise_eps=noise_eps)
     total = float(np.sum(nf.xi))
     bound = filter_xi_bound((da, db), nf.converged)
@@ -302,7 +276,7 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
         "f_value": nf.f_value,
         "filter_a": nf.filter_a,
         "filter_b": nf.filter_b,
-        "swapped": swapped,
+        "swapped": st.swapped,
     }
     return _verdict("cmc_filter", total - bound, details)
 
@@ -365,7 +339,7 @@ def lur_value(rho, ops_a, ops_b) -> float:
     <A_k^2> + <B_k^2> + 2 <A_k x B_k> - (<A_k> + <B_k>)^2: the local moments
     come from the marginals, the cross terms from the diagonal of the
     joint-moment matrix."""
-    r = hermitize(rho, rtol=STATE_RTOL)
+    r = hermitize(rho)
     ops_a = np.asarray(ops_a, dtype=complex)
     ops_b = np.asarray(ops_b, dtype=complex)
     if len(ops_a) != len(ops_b):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import STATE_RTOL, MatrixError, hermitize
+from .matlin import MatrixError, as_state, hermitize
 from .observables import gellmann_like_basis
 
 # Largest deviation of a reduced state from maximally mixed (max-abs entry
@@ -53,12 +53,10 @@ class NormalForm:
 def f_rho(rho, rho_a, rho_b) -> float:
     """Overlap tr[rho (rho_A x rho_B)] over the determinant normalizers
     (det rho_A)^(1/d_A) (det rho_B)^(1/d_B); diverges on the boundary."""
-    r = hermitize(rho, rtol=STATE_RTOL)
-    ra = hermitize(rho_a, rtol=STATE_RTOL)
-    rb = hermitize(rho_b, rtol=STATE_RTOL)
+    ra = hermitize(rho_a)
+    rb = hermitize(rho_b)
     da, db = ra.shape[0], rb.shape[0]
-    if r.shape != (da * db, da * db):
-        raise MatrixError("state shape does not match the marginal dimensions")
+    r = as_state(rho, (da, db)).rho
     wa = np.linalg.eigvalsh(ra)
     wb = np.linalg.eigvalsh(rb)
     if wa[0] <= 1e-12 or wb[0] <= 1e-12:
@@ -118,13 +116,12 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     steps is returned with converged=False and the last iterate;
     downstream criteria stay valid, only weaker.
     """
-    da, db = int(dims[0]), int(dims[1])
+    st = as_state(rho, dims)
+    da, db = st.dims
     n = da * db
-    r = hermitize(rho, rtol=STATE_RTOL)
-    if r.shape != (n, n):
-        raise MatrixError(f"state shape {r.shape} does not match dims {dims}")
+    r = st.rho
     applied_eps = 0.0
-    if float(np.linalg.eigvalsh(r)[0]) < noise_eps:
+    if float(st.eigenvalues[0]) < noise_eps:
         r = (1.0 - noise_eps) * r + noise_eps * np.eye(n) / n
         applied_eps = noise_eps
 

@@ -1,6 +1,6 @@
-"""Dense linear-algebra kernel: the Hermiticity check, unitarily invariant
-norms, and the bipartite reshuffles (partial trace, partial transpose,
-realignment) everything else is built on.
+"""Dense linear-algebra kernel: the Hermiticity check, the checked
+bipartite state, unitarily invariant norms, and the bipartite reshuffles
+(partial trace, partial transpose, realignment) everything else is built on.
 
 All functions are pure and operate on plain ``numpy`` arrays; matrices are
 complex row-major throughout.  Singular-value routines are deterministic
@@ -9,14 +9,13 @@ for a fixed input, so seeded runs reproduce exactly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Relative tolerance under which an input must be Hermitian before it is
-# symmetrized and handed to the eigensolver.
-HERMITICITY_RTOL = 1e-12
-
-# Looser tolerance for density matrices, which arrive from state files and
-# generators with accumulated rounding.
+# symmetrized and handed to the eigensolver; density matrices arrive from
+# state files and generators with accumulated rounding.
 STATE_RTOL = 1e-10
 
 
@@ -34,8 +33,8 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermitize(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Check Hermiticity to ``rtol`` (relative) and return (m + m^dagger)/2.
+def hermitize(m) -> np.ndarray:
+    """Check Hermiticity to STATE_RTOL and return (m + m^dagger)/2.
 
     Downstream code then sees exactly Hermitian data.
     """
@@ -44,10 +43,10 @@ def hermitize(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise MatrixError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
     scale = max(float(np.max(np.abs(a))), 1e-300)
     asym = float(np.max(np.abs(a - a.conj().T)))
-    if asym > rtol * max(scale, 1.0):
+    if asym > STATE_RTOL * max(scale, 1.0):
         raise MatrixError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} "
-            f"exceeds {rtol:.0e} (relative)"
+            f"exceeds {STATE_RTOL:.0e} (relative)"
         )
     return (a + a.conj().T) / 2
 
@@ -141,3 +140,53 @@ def swap_subsystems(rho, dims: tuple[int, int]) -> np.ndarray:
     da, db = _check_bipartite(a, dims)
     r = a.reshape(da, db, da, db)
     return np.ascontiguousarray(r.transpose(1, 0, 3, 2).reshape(da * db, da * db))
+
+
+class CheckedState:
+    """A bipartite state, checked Hermitian and of shape dA dB x dA dB on
+    first use of ``rho``; its spectrum and its oriented form are computed on
+    first use and kept.  Functions that take a state accept one in place of
+    ``rho``, so a state is checked once however many of them it reaches."""
+
+    # set on the oriented form of a state whose first system is the larger
+    swapped = False
+
+    def __init__(self, rho, dims: tuple[int, int]):
+        self._raw = rho
+        self.dims = (int(dims[0]), int(dims[1]))
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """The state, checked and made exactly Hermitian."""
+        r = hermitize(self._raw)
+        _check_bipartite(r, self.dims)
+        return r
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of the state, non-decreasing."""
+        return np.linalg.eigvalsh(self.rho)
+
+    @property
+    def oriented(self) -> CheckedState:
+        """The state with the smaller system first: itself when dA <= dB,
+        else its swap, kept (keeping self would be a reference cycle)."""
+        return self if self.dims[0] <= self.dims[1] else self._swap
+
+    @functools.cached_property
+    def _swap(self) -> CheckedState:
+        # a swapped exactly Hermitian matrix is exactly Hermitian: no re-check
+        da, db = self.dims
+        out = type(self)(swap_subsystems(self.rho, self.dims), (db, da))
+        out.rho, out.swapped = out._raw, True
+        return out
+
+
+def as_state(rho, dims: tuple[int, int]) -> CheckedState:
+    """A CheckedState passed through once its dims match; anything else
+    wrapped in one, and so checked on first use of ``rho``."""
+    if not isinstance(rho, CheckedState):
+        return CheckedState(rho, dims)
+    if rho.dims != (int(dims[0]), int(dims[1])):
+        raise MatrixError(f"state has dims {rho.dims}, not {tuple(dims)}")
+    return rho

@@ -10,8 +10,6 @@ import numpy as np
 
 from .matlin import MatrixError, as_matrix
 
-GRAM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ObservableBasis:
@@ -46,15 +44,6 @@ class ObservableBasis:
     def traces(self) -> np.ndarray:
         """Vector of traces tr(M_i), real for Hermitian elements."""
         return np.real(np.einsum("iaa->i", self.ops))
-
-    def check(self, tol: float = GRAM_TOL) -> None:
-        """Assert Hermiticity and orthonormality of every element."""
-        herm = np.max(np.abs(self.ops - self.ops.conj().transpose(0, 2, 1)))
-        if herm > tol:
-            raise MatrixError(f"basis elements not Hermitian (max dev {herm:.3e})")
-        dev = np.max(np.abs(self.gram() - np.eye(len(self))))
-        if dev > tol:
-            raise MatrixError(f"basis not orthonormal (max Gram dev {dev:.3e})")
 
 
 def _read_only(ops: list) -> np.ndarray:

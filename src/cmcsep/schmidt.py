@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matlin import (STATE_RTOL, MatrixError, hermitize, joint_moments,
-                     swap_subsystems)
+from .matlin import as_state, joint_moments
 from .observables import standard_basis
 
 
@@ -16,8 +15,8 @@ class SchmidtOperatorDecomposition:
     """rho = sum_k lambda_k G_k^A (x) G_k^B over orthonormal Hermitian
     operator families, with lambda non-negative and non-increasing.
 
-    ``g_a``/``g_b`` carry the operator traces tr(G_k); ``swapped`` records
-    that the input sides were exchanged to enforce d_A <= d_B internally.
+    ``g_a``/``g_b`` carry the operator traces tr(G_k).  There are
+    min(d_A^2, d_B^2) terms.
     """
 
     lambdas: np.ndarray
@@ -25,7 +24,6 @@ class SchmidtOperatorDecomposition:
     ops_b: np.ndarray = field(repr=False)
     g_a: np.ndarray = field(repr=False)
     g_b: np.ndarray = field(repr=False)
-    swapped: bool = False
 
     def reconstruct(self) -> np.ndarray:
         da = self.ops_a.shape[1]
@@ -41,22 +39,16 @@ def operator_schmidt(rho, d_a: int, d_b: int) -> SchmidtOperatorDecomposition:
     The coefficients lambda_k equal the singular values of the realignment of
     rho; signs are absorbed into the B-side operators.
     """
-    r = hermitize(rho, rtol=STATE_RTOL)
-    if r.shape != (d_a * d_b, d_a * d_b):
-        raise MatrixError(f"state shape {r.shape} does not match dims {d_a}x{d_b}")
-    swapped = d_a > d_b
-    if swapped:
-        r = swap_subsystems(r, (d_a, d_b))
-        d_a, d_b = d_b, d_a
+    r = as_state(rho, (d_a, d_b)).rho
     basis_a = standard_basis(d_a)
     basis_b = standard_basis(d_b)
     xi = joint_moments(r, basis_a.ops, basis_b.ops)
+    # full SVD: a reduced one picks other singular vectors, moving cmc_schmidt
     u, s, vt = np.linalg.svd(xi)
-    ops_a = np.einsum("ik,iab->kab", u, basis_a.ops)
-    ops_b = np.einsum("jk,jab->kab", vt.T[:, : d_a * d_a], basis_b.ops)
+    k = len(s)
+    ops_a = np.einsum("ik,iab->kab", u[:, :k], basis_a.ops)
+    ops_b = np.einsum("jk,jab->kab", vt[:k].T, basis_b.ops)
     g_a = np.real(np.einsum("kaa->k", ops_a))
     g_b = np.real(np.einsum("kaa->k", ops_b))
-    if swapped:
-        ops_a, ops_b, g_a, g_b = ops_b, ops_a, g_b, g_a
     return SchmidtOperatorDecomposition(lambdas=s, ops_a=ops_a, ops_b=ops_b,
-                                        g_a=g_a, g_b=g_b, swapped=swapped)
+                                        g_a=g_a, g_b=g_b)

@@ -64,6 +64,16 @@ def test_non_object_json_exit_code(tmp_path, capsys, text):
     assert "state file must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", ["{}", '[[[{"a": 1}, 0]]]'])
+def test_object_in_matrix_exit_code(tmp_path, capsys, matrix):
+    """A JSON object where the matrix or one of its numbers belongs is bad
+    input, not a crash."""
+    path = tmp_path / "object.json"
+    path.write_text('{"dims": [2, 2], "matrix": ' + matrix + '}')
+    assert run_cli(["detect", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_invalid_state_exit_code(tmp_path, capsys):
     path = tmp_path / "nonpsd.json"
     bad = np.diag([1.5, -0.5, 0.0, 0.0])
@@ -329,6 +339,17 @@ def test_threshold_out_of_range_exit_code(capsys):
                   ["--criterion", "ppt,ccnr"], ["--criterion", "nope"]):
         argv = ["threshold", "--family", "werner", "--criterion", "ppt"]
         assert run_cli(argv + flags) == 2, flags
+
+
+@pytest.mark.parametrize("spelling", ["ppt,", " ppt"])
+def test_threshold_normalizes_criterion_spelling(capsys, spelling):
+    """A spelling that detect accepts runs, and is reported, as the bare
+    criterion."""
+    argv = ["threshold", "--family", "werner", "--criterion", spelling]
+    assert run_cli(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["criterion"] == "ppt"
+    assert doc["p_star"] == bisect_threshold("werner", "ppt", 0.0, 1.0, tol=1e-4)
 
 
 def test_threshold_below_float_spacing_terminates():

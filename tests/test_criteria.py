@@ -1,9 +1,11 @@
 """Tests for the separability criteria and their relations."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from cmcsep import criteria, filtering, observables, states
+from cmcsep import covariance, criteria, filtering, matlin, observables, states
 from cmcsep.criteria import (ccnr, cmc_filter, cmc_kyfan_weyl, cmc_schmidt,
                              cmc_sdp_2q, cmc_singular_values, cmc_trace,
                              de_vicente, extract_lur_from_witness, lur_value,
@@ -456,6 +458,7 @@ def test_run_all_matches_each_criterion_alone(dims):
 
 
 def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name from every cmcsep module holding it."""
     calls = []
     original = getattr(module, name)
 
@@ -463,7 +466,11 @@ def count_calls(monkeypatch, module, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "cmcsep":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
     return calls
 
 
@@ -475,9 +482,33 @@ def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
     verdicts = run_all(rho, dims)
     assert len(verdicts) == (9 if dims[0] == dims[1] else 7)
     assert len(schmidt_calls) == 1
-    # with d_A > d_B the trace test builds the CM of the swapped state, as
-    # its rotation is not stable under transposing the shared C
-    assert len(bcm_calls) == (2 if dims == (3, 2) else 1)
+    # with d_A > d_B every criterion shares the CM of the swapped state
+    assert len(bcm_calls) == 1
+
+
+# per full-rank state: hermitize, build_block_cm, swap_subsystems and
+# joint_moments calls; the SDP at (2, 2) checks its LUR state once more
+CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 4), (2, 3): (1, 1, 0, 3),
+                      (3, 2): (1, 1, 1, 3), (3, 3): (1, 1, 0, 3),
+                      (2, 5): (1, 1, 0, 3)}
+
+
+@pytest.mark.parametrize("dims", sorted(CHECKS_AND_ORIENTS))
+def test_run_all_checks_and_orients_once(monkeypatch, dims):
+    """run_all checks each state once, swaps it at most once, builds one
+    block CM and reads de Vicente's joint moments from it."""
+    counts = [count_calls(monkeypatch, module, name)
+              for module, name in ((matlin, "hermitize"),
+                                   (covariance, "build_block_cm"),
+                                   (matlin, "swap_subsystems"),
+                                   (matlin, "joint_moments"))]
+    for i in range(3):
+        rho = states.random_density(dims[0] * dims[1],
+                                    rng=np.random.default_rng([7, i]))
+        for calls in counts:
+            calls.clear()
+        run_all(rho, dims)
+        assert tuple(map(len, counts)) == CHECKS_AND_ORIENTS[dims]
 
 
 def test_run_all_looks_criteria_up_at_call_time(monkeypatch):

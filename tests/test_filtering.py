@@ -29,7 +29,7 @@ def reference_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
     (converged, xi) for comparison with the Newton kernel."""
     da, db = dims
     n = da * db
-    r = hermitize(rho, rtol=1e-10)
+    r = hermitize(rho)
     if float(np.linalg.eigvalsh(r)[0]) < noise_eps:
         r = (1.0 - noise_eps) * r + noise_eps * np.eye(n) / n
     rho4 = (r / np.real(np.trace(r))).reshape(da, db, da, db)
@@ -75,7 +75,7 @@ def reference_newton_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
     whose output the flat-layout kernel must reproduce bit for bit."""
     da, db = int(dims[0]), int(dims[1])
     n = da * db
-    r = hermitize(rho, rtol=matlin.STATE_RTOL)
+    r = hermitize(rho)
     if r.shape != (n, n):
         raise MatrixError(f"state shape {r.shape} does not match dims {dims}")
     applied_eps = 0.0
@@ -417,7 +417,8 @@ def test_cmc_filter_pinned_on_swapped_dims(monkeypatch):
     rhos = [states.random_density(6, rank=rank, rng=np.random.default_rng([108, i]))
             for i, rank in enumerate([None, None, None, 4, 5])]
     got = [cmc_filter(rho, (3, 2)) for rho in rhos]
-    monkeypatch.setattr(filtering, "normal_form", reference_newton_normal_form)
+    monkeypatch.setattr(filtering, "normal_form", lambda st, dims, **kw:
+                        reference_newton_normal_form(st.rho, dims, **kw))
     for rho, v in zip(rhos, got):
         ref = cmc_filter(rho, (3, 2))
         assert v.details["swapped"] and "separable_by" not in v.details

