@@ -13,7 +13,6 @@ from .covariance import (
 from .criteria import (
     CriterionVerdict,
     LurSet,
-    PreparedState,
     ccnr,
     cmc_filter,
     cmc_kyfan_weyl,
@@ -29,6 +28,7 @@ from .criteria import (
 )
 from .filtering import NormalForm, f_rho, normal_form
 from .matlin import (
+    CheckedState,
     MatrixError,
     ky_fan_norm,
     operator_norm,

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__, criteria, filtering, states
-from .matlin import MatrixError
+from .matlin import CheckedState, MatrixError, json_safe
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -24,6 +24,12 @@ EXIT_INPUT = 2
 
 BENCHMARK_CRITERIA = ("cmc-filter", "cmc-sv", "cmc-trace", "cmc-schmidt",
                       "ccnr", "de-vicente")
+
+# Grid points of the monotonicity presweep before threshold bisection.
+PRESWEEP = 20
+
+# The (s, t) slice of the rho_epsilon family scanned by fig1_scan.
+FIG1_S, FIG1_T = 0.45, 1.0 / 16.0
 
 
 class InputError(Exception):
@@ -39,8 +45,9 @@ def _spellings(spec: str) -> list[str]:
     return spellings
 
 
-def load_statefile(path: str) -> tuple[np.ndarray, tuple[int, int], dict]:
-    """Parse a JSON state file into (rho, dims, metadata)."""
+def load_statefile(path: str) -> tuple[CheckedState, tuple[int, int], dict]:
+    """Parse a JSON state file into (state, dims, metadata); the state is
+    checked here, so no later layer checks or diagonalizes it again."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -65,11 +72,11 @@ def load_statefile(path: str) -> tuple[np.ndarray, tuple[int, int], dict]:
         raw = np.asarray(doc["matrix"], dtype=float)
         if raw.ndim != 3 or raw.shape[2] != 2:
             raise ValueError(f"matrix must be n x n x [re, im], got {raw.shape}")
-        rho = raw[..., 0] + 1j * raw[..., 1]
-        rho = states.validate_density(rho, (dims[0], dims[1]))
+        st = states.validate_density(raw[..., 0] + 1j * raw[..., 1],
+                                     (dims[0], dims[1]))
     except (ValueError, TypeError, MatrixError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return rho, (dims[0], dims[1]), doc.get("metadata", {})
+    return st, st.dims, doc.get("metadata", {})
 
 
 def write_statefile(path: str, rho: np.ndarray, dims: tuple[int, int],
@@ -106,17 +113,17 @@ def _worker_count() -> int:
 
 
 def cmd_detect(args) -> int:
-    rho, dims, _ = load_statefile(args.statefile)
+    st, dims, _ = load_statefile(args.statefile)
     wanted = (None if args.criteria == "all"
               else [criteria.CRITERIA[x] for x in _spellings(args.criteria)])
-    verdicts = criteria.run_all(rho, dims, criteria=wanted)
+    verdicts = criteria.run_all(st, dims, criteria=wanted)
     doc = [v.to_json() for v in verdicts]
     if args.basis:
         from .covariance import build_block_cm, cm_to_json
         from .observables import make_basis
 
         try:
-            bcm = build_block_cm(rho, make_basis(args.basis, dims[0]),
+            bcm = build_block_cm(st, make_basis(args.basis, dims[0]),
                                  make_basis(args.basis, dims[1]),
                                  kind="symmetric")
         except MatrixError as exc:
@@ -127,10 +134,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    rho, dims, _ = load_statefile(args.statefile)
+    st, dims, _ = load_statefile(args.statefile)
     if dims != (2, 2):
         raise InputError("the witness command needs a two-qubit state")
-    verdict = criteria.cmc_sdp_2q(rho)
+    verdict = criteria.cmc_sdp_2q(st)
     if verdict.status != "ok":
         print(json.dumps({"status": verdict.status}), file=sys.stderr)
         return EXIT_NUMERICAL
@@ -145,24 +152,22 @@ def cmd_normal_form(args) -> int:
         raise InputError("--max-iter must be non-negative")
     if not 0.0 <= args.noise_eps <= 1.0:
         raise InputError(f"--noise-eps {args.noise_eps} outside [0, 1]")
-    rho, dims, _ = load_statefile(args.statefile)
-    nf = filtering.normal_form(rho, dims, tol=args.tol, max_iter=args.max_iter,
+    st, dims, _ = load_statefile(args.statefile)
+    nf = filtering.normal_form(st, dims, tol=args.tol, max_iter=args.max_iter,
                                noise_eps=args.noise_eps)
     doc = {
-        "xi": nf.xi.tolist(),
+        "xi": nf.xi,
         "xi_sum": float(np.sum(nf.xi)),
-        "filter_a": {"re": nf.filter_a.real.tolist(),
-                     "im": nf.filter_a.imag.tolist()},
-        "filter_b": {"re": nf.filter_b.real.tolist(),
-                     "im": nf.filter_b.imag.tolist()},
+        "filter_a": nf.filter_a,
+        "filter_b": nf.filter_b,
         "converged": nf.converged,
         "f_value": nf.f_value,
         "iterations": nf.iterations,
         "noise_eps": nf.noise_eps,
-        "dims": list(nf.dims),
+        "dims": nf.dims,
         "schedule": "damped Newton, block-CM Hessian",
     }
-    _emit(doc, args.output)
+    _emit(json_safe(doc), args.output)
     return EXIT_OK
 
 
@@ -240,20 +245,20 @@ def _threshold_eval(family: str, crit_name: str, p: float) -> bool:
 
 
 def bisect_threshold(family: str, crit_name: str, p_lo: float, p_hi: float,
-                     tol: float = 1e-4, presweep: int = 20) -> float:
+                     tol: float = 1e-4) -> float:
     """Locate the detection onset by bisection after a monotonicity presweep."""
     if not (tol > 0 and 0.0 <= p_lo < p_hi <= 1.0):
         raise InputError(f"need tol > 0 and 0 <= p_lo < p_hi <= 1, got "
                          f"tol={tol}, p_lo={p_lo}, p_hi={p_hi}")
     flags = [_threshold_eval(family, crit_name, p)
-             for p in np.linspace(p_lo, p_hi, presweep)]
+             for p in np.linspace(p_lo, p_hi, PRESWEEP)]
     if flags[0] or not flags[-1]:
         raise InputError(
             f"detection is not bracketed on [{p_lo}, {p_hi}] for {crit_name}")
     first = flags.index(True)
-    if any(flags[i] and not flags[i + 1] for i in range(first, presweep - 1)):
+    if any(flags[i] and not flags[i + 1] for i in range(first, PRESWEEP - 1)):
         raise InputError("detection is not monotone on the requested interval")
-    grid = np.linspace(p_lo, p_hi, presweep)
+    grid = np.linspace(p_lo, p_hi, PRESWEEP)
     lo, hi = grid[first - 1], grid[first]
     mid = 0.5 * (lo + hi)
     # a tol below the float spacing stops once the interval cannot split
@@ -288,14 +293,12 @@ def _benchmark_labels(cname: str) -> list[str]:
 
 def _benchmark_one(task) -> list[tuple[int, str, float, bool]]:
     seed, index, crit_names = task
-    rng = np.random.default_rng([seed, index])
-    state = criteria.PreparedState(states.sample_chessboard(rng), (3, 3))
-    rows = []
-    for cname in crit_names:
-        vs = criteria.run_all(state, (3, 3), criteria=[criteria.CRITERIA[cname]])
-        for label, v in zip(_benchmark_labels(cname), vs, strict=True):
-            rows.append((index, label, float(v.margin), bool(v.detected)))
-    return rows
+    rho = states.sample_chessboard(np.random.default_rng([seed, index]))
+    verdicts = criteria.run_all(rho, (3, 3),
+                                criteria=[criteria.CRITERIA[c] for c in crit_names])
+    labels = [x for cname in crit_names for x in _benchmark_labels(cname)]
+    return [(index, label, float(v.margin), bool(v.detected))
+            for label, v in zip(labels, verdicts, strict=True)]
 
 
 def run_benchmark(n: int, seed: int, crit_names: list[str],
@@ -356,7 +359,7 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def fig1_scan(grid_step: float, s: float = 0.45, t: float = 1.0 / 16.0):
+def fig1_scan(grid_step: float):
     """Classify the Bloch-inversion behaviour of rho_epsilon on an
     (epsilon, r) grid; parameter points that are not states are skipped."""
     from .covariance import bloch_invert
@@ -368,9 +371,9 @@ def fig1_scan(grid_step: float, s: float = 0.45, t: float = 1.0 / 16.0):
     grid = np.arange(0.0, 1.0 + 0.5 * grid_step, grid_step)
     for eps in grid:
         for r in grid:
-            if not states.rho_epsilon_valid(eps, r, s, t):
+            if not states.rho_epsilon_valid(eps, r, FIG1_S, FIG1_T):
                 continue
-            rho = states.rho_epsilon(eps, r, s, t)
+            rho = states.rho_epsilon(eps, r, FIG1_S, FIG1_T)
             inv, wmin = bloch_invert(rho, side="A")
             if wmin < -1e-12:
                 region = "NotAState"

@@ -288,33 +288,20 @@ def two_qubit_effective_cm(rho) -> np.ndarray:
     return build_block_cm(rho, basis, basis, kind="symmetric").traceless_part()
 
 
-def _matrix_to_json(m: np.ndarray):
-    if np.iscomplexobj(m):
-        return {"re": m.real.tolist(), "im": m.imag.tolist()}
-    return m.tolist()
-
-
 def cm_to_json(cm: CovarianceMatrix | BlockCovarianceMatrix) -> dict:
     """JSON-serializable export: kind, basis tag, dense matrix, moments."""
     if isinstance(cm, BlockCovarianceMatrix):
-        return {
+        return matlin.json_safe({
             "kind": cm.kind,
             "basis": [cm.basis_a.kind, cm.basis_b.kind],
-            "blocks": {
-                "a": _matrix_to_json(cm.a),
-                "b": _matrix_to_json(cm.b),
-                "c": _matrix_to_json(cm.c),
-            },
-            "matrix": _matrix_to_json(cm.assembled()),
-            "first_moments": {
-                "a": None if cm.moments_a is None else cm.moments_a.tolist(),
-                "b": None if cm.moments_b is None else cm.moments_b.tolist(),
-            },
+            "blocks": {"a": cm.a, "b": cm.b, "c": cm.c},
+            "matrix": cm.assembled(),
+            "first_moments": {"a": cm.moments_a, "b": cm.moments_b},
             "purity": {"a": cm.purity_a, "b": cm.purity_b},
-        }
-    return {
+        })
+    return matlin.json_safe({
         "kind": cm.kind,
         "basis": cm.basis.kind,
-        "matrix": _matrix_to_json(cm.matrix),
-        "first_moments": cm.first_moments.tolist(),
-    }
+        "matrix": cm.matrix,
+        "first_moments": cm.first_moments,
+    })

@@ -4,19 +4,18 @@ exactly when the state is flagged entangled."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import filtering, matlin, sdpsolve
-from .covariance import BlockCovarianceMatrix, build_block_cm
-from .matlin import CheckedState, MatrixError, as_state, hermitize
-from .observables import gellmann_like_basis, pauli_basis
-from .schmidt import SchmidtOperatorDecomposition, operator_schmidt
+from .matlin import MatrixError, as_state, hermitize
+from .observables import pauli_basis
 
 EPS_MARGIN = 1e-9
 SDP_EPS_MARGIN = 1e-7
+# Witness eigenvalues at or below this carry no local uncertainty observable.
+WITNESS_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,24 +42,8 @@ class CriterionVerdict:
             "margin": self.margin,
             "eps_margin": self.eps_margin,
             "status": self.status,
-            "details": _json_safe(self.details),
+            "details": matlin.json_safe(self.details),
         }
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"re": obj.real.tolist(), "im": obj.imag.tolist()}
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -73,41 +56,6 @@ class LurSet:
     bound: float = 1.0
 
 
-class PreparedState(CheckedState):
-    """A bipartite state as the criteria see it: checked once, with every
-    quantity that several criteria share computed on first use and kept.
-
-    Every criterion accepts one in place of ``rho`` and evaluates its
-    ``oriented`` form, which keeps the shared quantities.  ``run_all`` builds
-    one per call; a caller that evaluates criteria one at a time on the
-    same state can build one and pass it to each.
-    """
-
-    @functools.cached_property
-    def pt_min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the partial transpose over B."""
-        pt = matlin.partial_transpose(self.rho, self.dims, side="B")
-        return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
-
-    @functools.cached_property
-    def block_cm(self) -> BlockCovarianceMatrix:
-        """Symmetric block CM over the Gell-Mann-like bases of both sides."""
-        da, db = self.dims
-        return build_block_cm(self, gellmann_like_basis(da),
-                              gellmann_like_basis(db), kind="symmetric")
-
-    @functools.cached_property
-    def schmidt(self) -> SchmidtOperatorDecomposition:
-        """Operator Schmidt decomposition."""
-        return operator_schmidt(self, *self.dims)
-
-
-def _prepared(rho, dims: tuple[int, int]) -> PreparedState:
-    if isinstance(rho, PreparedState):
-        return as_state(rho, dims)
-    return PreparedState(rho, dims)
-
-
 def _verdict(name: str, margin: float, details: dict,
              eps: float = EPS_MARGIN) -> CriterionVerdict:
     return CriterionVerdict(name=name, detected=bool(margin > eps),
@@ -118,21 +66,21 @@ def _verdict(name: str, margin: float, details: dict,
 def ppt(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Positivity of the partial transpose; margin is minus its smallest
     eigenvalue."""
-    wmin = _prepared(rho, dims).oriented.pt_min_eigenvalue
+    wmin = as_state(rho, dims).oriented.pt_min_eigenvalue
     return _verdict("ppt", -wmin, {"min_eigenvalue": wmin})
 
 
 def ccnr(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Realignment test: the operator Schmidt coefficients of a separable
     state sum to at most one."""
-    total = float(np.sum(_prepared(rho, dims).oriented.schmidt.lambdas))
+    total = float(np.sum(as_state(rho, dims).oriented.schmidt.lambdas))
     return _verdict("ccnr", total - 1.0, {"schmidt_sum": total})
 
 
 def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Bloch-representation test: trace norm of the traceless-sector joint
     moments against sqrt((1-1/dA)(1-1/dB))."""
-    st = _prepared(rho, dims).oriented
+    st = as_state(rho, dims).oriented
     da, db = st.dims
     # the Gell-Mann-like bases lead with the identity: drop row and column 0
     norm = matlin.trace_norm(st.block_cm.joint[1:, 1:])
@@ -144,7 +92,7 @@ def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
 def cmc_singular_values(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """||C||_tr^2 <= (1 - tr rho_A^2)(1 - tr rho_B^2) for separable states;
     basis independent by local orthogonal invariance of the trace norm."""
-    st = _prepared(rho, dims).oriented
+    st = as_state(rho, dims).oriented
     bcm = st.block_cm
     norm = matlin.trace_norm(bcm.c)
     bound = np.sqrt(max((1.0 - bcm.purity_a) * (1.0 - bcm.purity_b), 0.0))
@@ -167,7 +115,7 @@ def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """
     # with d_A > d_B the CM of the swapped state, not C transposed: the last
     # rotated B direction is a null singular vector of C picked by rounding
-    st = _prepared(rho, dims).oriented
+    st = as_state(rho, dims).oriented
     da, db = st.dims
     bcm = st.block_cm
     u, sing, vt = np.linalg.svd(bcm.c)
@@ -192,7 +140,7 @@ def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
 def cmc_schmidt(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Trace test in the operator Schmidt basis:
     2 sum |l_k - l_k^2 gA_k gB_k| <= 2 - sum l_k^2 (gA_k^2 + gB_k^2)."""
-    dec = _prepared(rho, dims).oriented.schmidt
+    dec = as_state(rho, dims).oriented.schmidt
     lam, ga, gb = dec.lambdas, dec.g_a, dec.g_b
     lhs = 2.0 * float(np.sum(np.abs(lam - lam**2 * ga * gb)))
     rhs = 2.0 - float(np.sum(lam**2 * (ga**2 + gb**2)))
@@ -209,7 +157,7 @@ def cmc_kyfan_weyl(rho, dims: tuple[int, int], s: int = 1) -> CriterionVerdict:
         raise MatrixError("Ky-Fan refinement needs equal local dimensions")
     if not 1 <= s <= da - 1:
         raise MatrixError(f"shift s={s} outside [1, {da - 1}]")
-    bcm = _prepared(rho, dims).oriented.block_cm
+    bcm = as_state(rho, dims).oriented.block_cm
     k = da * da - da + 1 + s
     c_norm = matlin.ky_fan_norm(bcm.c, k)
     a_term = k * matlin.operator_norm(bcm.a) - s
@@ -249,7 +197,7 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
     margin is that of the unfiltered coefficients against the de Vicente
     bound, with ``details["separable_by"] = "low_rank_ppt"``.
     """
-    st = _prepared(rho, dims).oriented
+    st = as_state(rho, dims).oriented
     da, db = st.dims
     if (int(np.sum(st.eigenvalues > noise_eps)) <= db
             and not ppt(st, st.dims).detected):
@@ -322,12 +270,12 @@ def _two_qubit_sdp_problem(gamma_eff: np.ndarray) -> sdpsolve.SdpProblem:
     return sdpsolve.SdpProblem(c=c, f0_blocks=f0_blocks, fi_blocks=fi)
 
 
-def extract_lur_from_witness(z1: np.ndarray, cutoff: float = 1e-12) -> LurSet:
+def extract_lur_from_witness(z1: np.ndarray) -> LurSet:
     """Spectral decomposition of a CM-witness into local uncertainty
     observables A_k = sqrt(l_k) sum alpha_l sigma_l / sqrt2 and likewise for
     B, reproducing tr(gamma_eff Z1) as the variance sum."""
     w, v = np.linalg.eigh((z1 + z1.T) / 2)
-    keep = w > cutoff
+    keep = w > WITNESS_CUTOFF
     # rows of coeff alternate the A and B halves of each scaled eigenvector
     coeff = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, 3)
     ops = (coeff @ pauli_basis().ops[1:].reshape(3, 4)).reshape(-1, 2, 2, 2)
@@ -373,12 +321,7 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
     separable state separable.  The witness and LUR values are those of the
     state solved on; ``details["noise_eps"]`` is the noise (0.0 when none).
     """
-    st = _prepared(rho, (2, 2))
-    noise_eps = 0.0
-    if st.eigenvalues[0] < filtering.DEFAULT_NOISE_EPS:
-        noise_eps = filtering.DEFAULT_NOISE_EPS
-        st = PreparedState((1.0 - noise_eps) * st.rho + noise_eps * np.eye(4) / 4,
-                           (2, 2))
+    st, noise_eps = as_state(rho, (2, 2)).mixed(filtering.DEFAULT_NOISE_EPS)
     # the Gell-Mann-like basis for d = 2 is the Pauli basis, so this equals
     # covariance.two_qubit_effective_cm(st.rho)
     gamma_eff = st.block_cm.traceless_part()
@@ -428,12 +371,12 @@ CRITERIA = {
 def run_all(rho, dims: tuple[int, int],
             criteria: list[str] | None = None) -> list[CriterionVerdict]:
     """Evaluate every applicable criterion in a fixed order, all on one
-    PreparedState.
+    CheckedState.
 
     The Ky-Fan family expands to one verdict per shift s; the SDP only runs
     on two qubits.
     """
-    st = _prepared(rho, dims)
+    st = as_state(rho, dims)
     da, db = st.dims
     wanted = list(CRITERIA.values() if criteria is None else criteria)
     for name in wanted:

@@ -116,16 +116,10 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     steps is returned with converged=False and the last iterate;
     downstream criteria stay valid, only weaker.
     """
-    st = as_state(rho, dims)
+    st, applied_eps = as_state(rho, dims).mixed(noise_eps)
     da, db = st.dims
     n = da * db
-    r = st.rho
-    applied_eps = 0.0
-    if float(st.eigenvalues[0]) < noise_eps:
-        r = (1.0 - noise_eps) * r + noise_eps * np.eye(n) / n
-        applied_eps = noise_eps
-
-    r = r / np.real(np.trace(r))
+    r = st.rho / np.real(np.trace(st.rho))
     rows, cols, flat_a, flat_b = _local_generators(da, db)
     ka = da * da - 1
     f_a = np.eye(da, dtype=complex)

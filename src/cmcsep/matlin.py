@@ -1,6 +1,7 @@
 """Dense linear-algebra kernel: the Hermiticity check, the checked
-bipartite state, unitarily invariant norms, and the bipartite reshuffles
-(partial trace, partial transpose, realignment) everything else is built on.
+bipartite state, unitarily invariant norms, the bipartite reshuffles
+(partial trace, partial transpose, realignment) everything else is built on,
+and the JSON form of complex arrays.
 
 All functions are pure and operate on plain ``numpy`` arrays; matrices are
 complex row-major throughout.  Singular-value routines are deterministic
@@ -31,6 +32,23 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise MatrixError("matrix contains non-finite entries")
     return a
+
+
+def json_safe(obj):
+    """``obj`` with its numpy arrays and scalars made JSON-serializable,
+    also inside dicts, lists and tuples; a complex array becomes
+    {"re": ..., "im": ...}."""
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return {"re": obj.real.tolist(), "im": obj.imag.tolist()}
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    return obj
 
 
 def hermitize(m) -> np.ndarray:
@@ -144,9 +162,10 @@ def swap_subsystems(rho, dims: tuple[int, int]) -> np.ndarray:
 
 class CheckedState:
     """A bipartite state, checked Hermitian and of shape dA dB x dA dB on
-    first use of ``rho``; its spectrum and its oriented form are computed on
-    first use and kept.  Functions that take a state accept one in place of
-    ``rho``, so a state is checked once however many of them it reaches."""
+    first use of ``rho``; its spectrum, its oriented form and the
+    quantities several criteria share are computed on first use and kept.
+    Functions that take a state accept one in place of ``rho``, so a state
+    is checked once however many of them it reaches."""
 
     # set on the oriented form of a state whose first system is the larger
     swapped = False
@@ -177,9 +196,50 @@ class CheckedState:
     def _swap(self) -> CheckedState:
         # a swapped exactly Hermitian matrix is exactly Hermitian: no re-check
         da, db = self.dims
-        out = type(self)(swap_subsystems(self.rho, self.dims), (db, da))
-        out.rho, out.swapped = out._raw, True
+        out = _checked(swap_subsystems(self.rho, self.dims), (db, da))
+        out.swapped = True
         return out
+
+    def mixed(self, noise_eps: float) -> tuple[CheckedState, float]:
+        """The state and 0.0 when its smallest eigenvalue is at least
+        ``noise_eps``; else (1 - noise_eps) rho + noise_eps 1/n, exactly
+        Hermitian and so not checked again, and ``noise_eps``."""
+        if self.eigenvalues[0] >= noise_eps:
+            return self, 0.0
+        n = self.rho.shape[0]
+        mix = (1.0 - noise_eps) * self.rho + noise_eps * np.eye(n) / n
+        return _checked(mix, self.dims), noise_eps
+
+    @functools.cached_property
+    def pt_min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the partial transpose over B."""
+        pt = partial_transpose(self.rho, self.dims, side="B")
+        return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+
+    @functools.cached_property
+    def block_cm(self):
+        """Symmetric block CM over the Gell-Mann-like bases of both sides."""
+        from . import covariance, observables
+
+        da, db = self.dims
+        return covariance.build_block_cm(
+            self, observables.gellmann_like_basis(da),
+            observables.gellmann_like_basis(db), kind="symmetric")
+
+    @functools.cached_property
+    def schmidt(self):
+        """Operator Schmidt decomposition."""
+        from . import schmidt
+
+        return schmidt.operator_schmidt(self, *self.dims)
+
+
+def _checked(r: np.ndarray, dims: tuple[int, int]) -> CheckedState:
+    """An exactly Hermitian matrix of the right shape as a CheckedState,
+    without a second check."""
+    out = CheckedState(r, dims)
+    out.rho = r
+    return out
 
 
 def as_state(rho, dims: tuple[int, int]) -> CheckedState:

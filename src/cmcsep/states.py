@@ -6,30 +6,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matlin import STATE_RTOL, MatrixError, as_matrix
+from .matlin import CheckedState, MatrixError, as_state
 
 # Eigenvalues in (-PSD_CLIP, 0) are treated as rounding and clipped; anything
 # more negative is a generator error.
 PSD_CLIP = 1e-12
 
 
-def validate_density(rho, dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; returns the matrix."""
-    r = as_matrix(rho)
-    n = r.shape[0]
-    if r.shape[1] != n:
-        raise MatrixError(f"density matrix must be square, got {r.shape}")
-    if dims is not None and n != dims[0] * dims[1]:
-        raise MatrixError(f"size {n} does not match dims {dims}")
-    if np.max(np.abs(r - r.conj().T)) > STATE_RTOL * max(1.0, np.max(np.abs(r))):
-        raise MatrixError("density matrix is not Hermitian")
-    tr = complex(np.trace(r))
+def validate_density(rho, dims: tuple[int, int]) -> CheckedState:
+    """Check Hermiticity, shape, unit trace and positivity; returns the
+    checked state, its spectrum kept."""
+    st = as_state(rho, dims)
+    tr = complex(np.trace(st.rho))
     if abs(tr - 1.0) > 1e-10:
         raise MatrixError(f"density matrix trace {tr} differs from 1")
-    wmin = float(np.linalg.eigvalsh((r + r.conj().T) / 2)[0])
+    wmin = float(st.eigenvalues[0])
     if wmin < -1e-9:
         raise MatrixError(f"density matrix has eigenvalue {wmin:.3e} < 0")
-    return r
+    return st
 
 
 def _normalize_psd(mat: np.ndarray) -> np.ndarray:

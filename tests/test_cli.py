@@ -101,7 +101,32 @@ def test_statefile_roundtrip(tmp_path):
     back, dims, meta = load_statefile(str(path))
     assert dims == (2, 3)
     assert meta["family"] == "random"
-    np.testing.assert_allclose(back, rho, atol=1e-15)
+    np.testing.assert_allclose(back.rho, rho, atol=1e-15)
+
+
+@pytest.mark.parametrize("command, dims, expected",
+                         [("detect", (2, 3), 2), ("detect", (3, 3), 2),
+                          ("normal-form", (2, 3), 1), ("normal-form", (3, 3), 1)])
+def test_state_file_checked_once(tmp_path, monkeypatch, capsys, command, dims,
+                                 expected):
+    """A state file is checked and diagonalized once: detect diagonalizes
+    only the state and its partial transpose, normal-form only the state."""
+    n = dims[0] * dims[1]
+    path = tmp_path / "state.json"
+    write_statefile(str(path), states.random_density(
+        n, rng=np.random.default_rng(401)), dims)
+    full = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            full.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert run_cli([command, str(path)]) == 0
+    capsys.readouterr()
+    assert len(full) == expected
 
 
 def test_gen_families(tmp_path):

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from cmcsep import covariance, criteria, filtering, matlin, observables, states
+from cmcsep import (covariance, criteria, filtering, matlin, observables,
+                    schmidt, states)
 from cmcsep.criteria import (ccnr, cmc_filter, cmc_kyfan_weyl, cmc_schmidt,
                              cmc_sdp_2q, cmc_singular_values, cmc_trace,
                              de_vicente, extract_lur_from_witness, lur_value,
@@ -476,8 +477,8 @@ def count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 2)])
 def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
-    bcm_calls = count_calls(monkeypatch, criteria, "build_block_cm")
-    schmidt_calls = count_calls(monkeypatch, criteria, "operator_schmidt")
+    bcm_calls = count_calls(monkeypatch, covariance, "build_block_cm")
+    schmidt_calls = count_calls(monkeypatch, schmidt, "operator_schmidt")
     rho = seeded_states(dims, count=1)[0]
     verdicts = run_all(rho, dims)
     assert len(verdicts) == (9 if dims[0] == dims[1] else 7)
@@ -486,29 +487,46 @@ def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
     assert len(bcm_calls) == 1
 
 
-# per full-rank state: hermitize, build_block_cm, swap_subsystems and
-# joint_moments calls; the SDP at (2, 2) checks its LUR state once more
+# per state, keyed by (dA, dB) at full rank and (dA, dB, rank) below it:
+# hermitize, build_block_cm, swap_subsystems and joint_moments calls.  The
+# SDP at (2, 2) checks its LUR state once more; on a rank-1 state it solves
+# on the noise-mixed state, which is not checked again but has its own
+# block CM.
 CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 4), (2, 3): (1, 1, 0, 3),
-                      (3, 2): (1, 1, 1, 3), (3, 3): (1, 1, 0, 3),
-                      (2, 5): (1, 1, 0, 3)}
+                      (2, 5): (1, 1, 0, 3), (3, 2): (1, 1, 1, 3),
+                      (3, 3): (1, 1, 0, 3), (2, 2, 1): (2, 2, 0, 5)}
 
 
-@pytest.mark.parametrize("dims", sorted(CHECKS_AND_ORIENTS))
+@pytest.mark.parametrize("dims", list(CHECKS_AND_ORIENTS))
 def test_run_all_checks_and_orients_once(monkeypatch, dims):
     """run_all checks each state once, swaps it at most once, builds one
-    block CM and reads de Vicente's joint moments from it."""
+    block CM per state it solves on and reads de Vicente's joint moments
+    from it."""
     counts = [count_calls(monkeypatch, module, name)
               for module, name in ((matlin, "hermitize"),
                                    (covariance, "build_block_cm"),
                                    (matlin, "swap_subsystems"),
                                    (matlin, "joint_moments"))]
     for i in range(3):
-        rho = states.random_density(dims[0] * dims[1],
+        rho = states.random_density(dims[0] * dims[1], *dims[2:],
                                     rng=np.random.default_rng([7, i]))
         for calls in counts:
             calls.clear()
-        run_all(rho, dims)
+        run_all(rho, dims[:2])
         assert tuple(map(len, counts)) == CHECKS_AND_ORIENTS[dims]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
+def test_criteria_accept_a_checked_state(dims):
+    """Every criterion, run_all and the SDP take a plain CheckedState in
+    place of rho and return the verdicts of the bare matrix."""
+    rho = seeded_states(dims, count=1)[0]
+    for name in [v.name for v in run_all(rho, dims)]:
+        got = standalone(name, matlin.CheckedState(rho, dims), dims)
+        assert got.to_json() == standalone(name, rho, dims).to_json(), name
+    shared = run_all(matlin.CheckedState(rho, dims), dims)
+    bare = run_all(rho, dims)
+    assert [v.to_json() for v in shared] == [v.to_json() for v in bare]
 
 
 def test_run_all_looks_criteria_up_at_call_time(monkeypatch):

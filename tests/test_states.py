@@ -107,7 +107,7 @@ def test_rho_epsilon_grid_has_three_regions():
 def test_random_density_properties():
     rng = np.random.default_rng(301)
     rho = random_density(6, rng=rng)
-    validate_density(rho)
+    validate_density(rho, (2, 3))
     low = random_density(6, rank=2, rng=rng)
     assert np.sum(np.linalg.eigvalsh(low) > 1e-10) == 2
     with pytest.raises(MatrixError):
@@ -151,7 +151,7 @@ def test_validate_density_rejections():
     with pytest.raises(MatrixError):
         validate_density(np.eye(3) / 3, (2, 2))
     with pytest.raises(MatrixError):
-        validate_density(np.eye(2))  # trace 2
+        validate_density(np.eye(2), (1, 2))  # trace 2
     bad = np.diag([1.5, -0.5])
     with pytest.raises(MatrixError):
-        validate_density(bad)
+        validate_density(bad, (1, 2))
