@@ -11,6 +11,9 @@ from .matlin import CheckedState, MatrixError, as_state
 # Eigenvalues in (-PSD_CLIP, 0) are treated as rounding and clipped; anything
 # more negative is a generator error.
 PSD_CLIP = 1e-12
+# Terms random_separable draws per array pass; its working memory is at most
+# SEPARABLE_CHUNK (d_a d_b)^2 complex entries whatever the term count.
+SEPARABLE_CHUNK = 64
 
 
 def validate_density(rho, dims: tuple[int, int]) -> CheckedState:
@@ -130,26 +133,49 @@ def random_density(d: int, rank: int | None = None,
     return rho / np.real(np.trace(rho))
 
 
-def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
-
-
 def random_separable(d_a: int, d_b: int, n_terms: int = 10,
                      rng: np.random.Generator | None = None) -> np.ndarray:
     """Explicit convex mixture of product pure states; separable by
-    construction, used as the soundness oracle."""
+    construction, used as the soundness oracle.
+
+    Terms are drawn SEPARABLE_CHUNK at a time as arrays, and the output and
+    the rng stream are those of a draw of one term after another: per term
+    the real and imaginary parts of A's vector, then of B's, each vector
+    divided by its norm, and the weighted projectors added in term order."""
     if n_terms < 1:
         raise MatrixError(f"need at least one term, got n_terms={n_terms}")
+    if d_a < 1 or d_b < 1:
+        raise MatrixError(
+            f"local dimensions must be at least 1, got ({d_a}, {d_b})")
     rng = np.random.default_rng() if rng is None else rng
     weights = rng.exponential(size=n_terms)
     weights /= weights.sum()
-    rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for w in weights:
-        va = random_pure(d_a, rng)
-        vb = random_pure(d_b, rng)
-        rho += w * projector(np.kron(va, vb))
+    n = d_a * d_b
+    rho = np.zeros((n, n), dtype=complex)
+    for start in range(0, n_terms, SEPARABLE_CHUNK):
+        w = weights[start:start + SEPARABLE_CHUNK]
+        g = rng.normal(size=(len(w), 2 * (d_a + d_b)))
+        va, vb = _unit_rows(g[:, :2 * d_a]), _unit_rows(g[:, 2 * d_a:])
+        prod = (va[:, :, None] * vb[:, None, :]).reshape(len(w), n)
+        terms = w[:, None, None] * (prod[:, :, None] * prod.conj()[:, None, :])
+        terms[0] += rho
+        # accumulate adds in term order for every n; add.reduce would sum a
+        # stack of 1x1 matrices pairwise.
+        rho = np.add.accumulate(terms, out=terms)[-1].copy()
     return rho
+
+
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """Complex vectors Re + i Im from the two halves of each row of g, each
+    divided by its 2-norm.  The squared norm is two BLAS dot products on the
+    strided real and imaginary views, the sum np.linalg.norm forms for one
+    complex vector, so every row is bit-identical to normalizing it on its
+    own (einsum, sum(axis) and norm(axis=1) sum in other orders)."""
+    d = g.shape[1] // 2
+    v = g[:, :d] + 1j * g[:, d:]
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return v / np.sqrt(sq[:, 0])
 
 
 def singlet() -> np.ndarray:

@@ -1,0 +1,84 @@
+"""Tests for the BENCH trajectory summarizer on synthetic run outputs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_trajectory.py"
+_SPEC = importlib.util.spec_from_file_location("bench_trajectory", _PATH)
+bench_trajectory = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_trajectory)
+
+HOST = {"nproc": 2, "affinity_cpus": 2, "python": "3.11.7", "numpy": "2.4.6",
+        "blas": "openblas 0.3", "threads": {"OPENBLAS_NUM_THREADS": "1"},
+        "host_note": "test host"}
+
+
+def write_run(path, workload, seed, commit, setup_s, digest="d0", failed=0,
+              seconds=40.0, trace=0):
+    """What perfbench/run.py prints for one run, behind a line of noise."""
+    record = {"workload": workload, "trace": trace, "seconds": seconds,
+              "failed": failed, "verdict_digest": digest,
+              "provenance": {**HOST, "seed": seed, "git_commit": commit}}
+    result = {"correct": failed == 0, "attempted": 100, "failed": failed,
+              "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
+                          "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
+    path.write_text("warming up {not json}\n" + json.dumps({"record": record})
+                    + "\n" + json.dumps(result) + "\n")
+    return str(path)
+
+
+def test_summary_of_paired_runs(tmp_path):
+    parent, change = [], []
+    for seed, (p, c) in zip((1, 2, 3), ((1.0, 0.3), (2.0, 0.2), (0.9, 1.2))):
+        parent.append(write_run(tmp_path / f"p{seed}", "sweep", seed, "aaa", p))
+        change.append(write_run(tmp_path / f"c{seed}", "sweep", seed, "bbb", c,
+                                failed=seed == 3))
+    out = tmp_path / "BENCH_t.json"
+    argv = ["--label", "t", "--parent", *parent, "--change", *change]
+    assert bench_trajectory.main([*argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["label"] == "t"
+    assert doc["commits"] == {"parent": "aaa", "change": "bbb"}
+    assert doc["host"]["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1"}
+    sweep = doc["workloads"]["sweep"]
+    assert sweep["seeds"] == [1, 2, 3]
+    assert sweep["failed"] == {"parent": [0, 0, 0], "change": [0, 0, 1]}
+    assert sweep["verdict_digests_match"]
+    setup = sweep["metrics"]["setup_s"]
+    assert setup["parent"] == {"median": 1.0, "q1": 0.95, "q3": 1.5,
+                               "min": 0.9, "max": 2.0, "n": 3}
+    assert setup["change"]["median"] == 0.3
+    assert setup["delta_median"] == pytest.approx(-0.7)
+    assert (setup["change_lower_pairs"], setup["pairs"]) == (2, 3)
+    assert sweep["metrics"]["peak_rss_mb"]["change_lower_pairs"] == 0
+
+
+def test_same_commit_and_digest_mismatch(tmp_path):
+    runs = {"parent": [bench_trajectory.read_run(
+                write_run(tmp_path / "p", "w", 5, "aaa", 1.0))],
+            "change": [bench_trajectory.read_run(
+                write_run(tmp_path / "c", "w", 5, "aaa", 1.0, digest="d1"))]}
+    doc = bench_trajectory.summarize(runs)
+    assert doc["commits"]["change"] == "uncommitted working tree over aaa"
+    assert not doc["workloads"]["w"]["verdict_digests_match"]
+    assert doc["workloads"]["w"]["metrics"]["setup_s"]["parent"]["q1"] == 1.0
+
+
+@pytest.mark.parametrize("change_kw, message", [
+    ({"seed": 6}, "without a partner"),
+    ({"seconds": 10.0}, "run length"),
+    ({"trace": 1}, "traced run"),
+])
+def test_runs_that_do_not_compare_are_refused(tmp_path, capsys, change_kw,
+                                              message):
+    p = write_run(tmp_path / "p", "w", 5, "aaa", 1.0)
+    c = write_run(tmp_path / "c", "w", **{"seed": 5, "commit": "bbb",
+                                          "setup_s": 1.0, **change_kw})
+    out = tmp_path / "out.json"
+    assert bench_trajectory.main(["--label", "x", "--parent", p, "--change", c,
+                                  "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -402,6 +402,9 @@ def test_gen_separable_needs_a_term(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(MatrixError):
         states.random_separable(2, 2, n_terms=0)
+    for dims in ((0, 3), (-1, 2)):
+        with pytest.raises(MatrixError, match="at least 1"):
+            states.random_separable(*dims)
 
 
 def test_normal_form_out_of_range_exit_code(tmp_path, capsys):

@@ -122,6 +122,39 @@ def test_random_separable_never_ppt_detected():
         assert not ppt(rho, (2, 3)).detected
 
 
+def _separable_by_term(d_a, d_b, n_terms, rng):
+    """random_separable as it was written before its array draw: one term at
+    a time.  Frozen here as the reference the array draw must match."""
+    def random_pure(d):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return v / np.linalg.norm(v)
+
+    weights = rng.exponential(size=n_terms)
+    weights /= weights.sum()
+    rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    for w in weights:
+        va = random_pure(d_a)
+        vb = random_pure(d_b)
+        p = np.kron(va, vb)
+        rho += w * np.outer(p, p.conj())
+    return rho
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (2, 5)])
+def test_random_separable_matches_per_term_draw(dims):
+    """Byte-identical output and rng stream on both sides of each chunk
+    boundary; (1, 1) is where summing the stack with add.reduce would not."""
+    chunk = states.SEPARABLE_CHUNK
+    for n_terms in (1, 15, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        seed = [304, *dims, n_terms]
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = _separable_by_term(*dims, n_terms, ref_rng)
+        rho = random_separable(*dims, n_terms=n_terms, rng=rng)
+        assert rho.tobytes() == ref.tobytes(), n_terms
+        assert rng.random() == ref_rng.random(), n_terms
+        assert rho.flags.owndata and rho.flags.c_contiguous
+
+
 def test_werner_singlet_projector():
     rho = werner_2q(1.0)
     v = np.array([0, 1, -1, 0]) / np.sqrt(2)
