@@ -7,7 +7,6 @@ from .covariance import (
     build_block_cm,
     build_cm,
     concavity_check,
-    reconstruct_state,
     two_qubit_effective_cm,
 )
 from .criteria import (
@@ -26,7 +25,7 @@ from .criteria import (
     ppt,
     run_all,
 )
-from .filtering import NormalForm, f_rho, normal_form
+from .filtering import NormalForm, normal_form
 from .matlin import (
     CheckedState,
     MatrixError,
@@ -39,12 +38,10 @@ from .matlin import (
 )
 from .observables import (
     ObservableBasis,
-    gamma_isometry,
     gellmann_like_basis,
     make_basis,
     pauli_basis,
     standard_basis,
-    unitary_to_orthogonal,
     weyl_parity_basis,
 )
 from .schmidt import SchmidtOperatorDecomposition, operator_schmidt

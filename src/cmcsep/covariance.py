@@ -1,5 +1,5 @@
 """Covariance matrices of observable sets: construction, block form,
-concavity, Bloch inversion, and state reconstruction."""
+concavity and Bloch inversion."""
 
 from __future__ import annotations
 
@@ -14,16 +14,6 @@ from .observables import ObservableBasis, pauli_basis
 # Accumulated rounding across d^2-term sums; eigenvalues below this floor
 # signal an invalid input state rather than a detection result.
 PSD_FLOOR = -1e-9
-
-RECONSTRUCTION_TOL = 1e-8
-
-
-class InconsistentCovarianceError(ValueError):
-    """No physical state reproduces the given covariance matrix."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -158,86 +148,6 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
     # interlacing this one check also covers both of them
     _check_cm_psd(bcm.assembled(), f"{kind} block covariance matrix")
     return bcm
-
-
-def _moments_from_commutators(gamma: np.ndarray, basis: ObservableBasis) -> tuple[np.ndarray, float]:
-    """First moments from the antisymmetric part of a non-symmetric CM.
-
-    gamma_ij - gamma_ji = <[M_i, M_j]> is linear in the moments; together
-    with tr(rho) = 1 this is an (overdetermined) real linear system.
-    Returns the moments and the least-squares residual of that system.
-    """
-    ops = basis.ops
-    n = len(basis)
-    comm = np.einsum("iab,jbc->ijac", ops, ops) - np.einsum("jab,ibc->ijac", ops, ops)
-    # [M_i, M_j] = i sum_k f_ijk M_k with real f
-    f = np.real(np.einsum("ijab,kba->ijk", comm, ops) / 1j)
-    iu, ju = np.triu_indices(n, k=1)
-    amat = np.vstack([f[iu, ju, :], basis.traces()[None, :]])
-    target = np.concatenate([
-        2.0 * np.imag(gamma[iu, ju]),
-        [1.0],
-    ])
-    m, *_ = np.linalg.lstsq(amat, target, rcond=None)
-    residual = float(np.linalg.norm(amat @ m - target))
-    return m, residual
-
-
-def reconstruct_state(cm: CovarianceMatrix | BlockCovarianceMatrix) -> np.ndarray:
-    """Rebuild the density matrix determined by a non-symmetric CM.
-
-    Needs the standard basis, whose commutator relations close on the basis
-    itself.  For a block CM both marginals are reconstructed first and the
-    product moments follow from the cross block.  Raises
-    InconsistentCovarianceError when no state reproduces the input to
-    RECONSTRUCTION_TOL.
-    """
-    if isinstance(cm, BlockCovarianceMatrix):
-        return _reconstruct_block(cm)
-    if cm.kind != "nonsymmetric":
-        raise MatrixError("reconstruction needs the non-symmetric covariance kind")
-    if cm.basis.kind != "standard":
-        raise MatrixError("reconstruction is defined for the standard basis; "
-                          "build the CM in that basis")
-    moments, lin_res = _moments_from_commutators(cm.matrix, cm.basis)
-    rho = np.einsum("i,iab->ab", moments, cm.basis.ops)
-    rho = (rho + rho.conj().T) / 2
-    check = build_cm(rho, cm.basis, kind="nonsymmetric")
-    residual = float(np.linalg.norm(check.matrix - cm.matrix)) + lin_res
-    if residual > RECONSTRUCTION_TOL * max(1.0, float(np.linalg.norm(cm.matrix))):
-        raise InconsistentCovarianceError("covariance matrix is not reproduced "
-                                          "by any state", residual)
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < PSD_FLOOR:
-        raise InconsistentCovarianceError("reconstructed matrix is not positive "
-                                          "semidefinite", -wmin)
-    return rho
-
-
-def _reconstruct_block(bcm: BlockCovarianceMatrix) -> np.ndarray:
-    if bcm.kind != "nonsymmetric":
-        raise MatrixError("reconstruction needs the non-symmetric covariance kind")
-    if bcm.basis_a.kind != "standard" or bcm.basis_b.kind != "standard":
-        raise MatrixError("block reconstruction is defined for standard bases")
-    ma, res_a = _moments_from_commutators(bcm.a, bcm.basis_a)
-    mb, res_b = _moments_from_commutators(bcm.b, bcm.basis_b)
-    joint = bcm.c + np.outer(ma, mb)
-    rho = np.einsum("ij,iab,jcd->acbd", joint, bcm.basis_a.ops, bcm.basis_b.ops,
-                    optimize=True)
-    n = bcm.basis_a.dim * bcm.basis_b.dim
-    rho = rho.reshape(n, n)
-    rho = (rho + rho.conj().T) / 2
-    check = build_block_cm(rho, bcm.basis_a, bcm.basis_b, kind="nonsymmetric")
-    residual = (float(np.linalg.norm(check.assembled() - bcm.assembled()))
-                + res_a + res_b)
-    if residual > RECONSTRUCTION_TOL * max(1.0, float(np.linalg.norm(bcm.assembled()))):
-        raise InconsistentCovarianceError("block covariance matrix is not "
-                                          "reproduced by any state", residual)
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < PSD_FLOOR:
-        raise InconsistentCovarianceError("reconstructed matrix is not positive "
-                                          "semidefinite", -wmin)
-    return rho
 
 
 def concavity_check(rhos, probs, basis: ObservableBasis,

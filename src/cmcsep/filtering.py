@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import MatrixError, as_state, hermitize
+from .matlin import MatrixError, as_state
 from .observables import gellmann_like_basis
 
 # Largest deviation of a reduced state from maximally mixed (max-abs entry
@@ -48,22 +48,6 @@ class NormalForm:
     f_history: np.ndarray = field(repr=False)
     noise_eps: float = 0.0
     dims: tuple[int, int] = (0, 0)
-
-
-def f_rho(rho, rho_a, rho_b) -> float:
-    """Overlap tr[rho (rho_A x rho_B)] over the determinant normalizers
-    (det rho_A)^(1/d_A) (det rho_B)^(1/d_B); diverges on the boundary."""
-    ra = hermitize(rho_a)
-    rb = hermitize(rho_b)
-    da, db = ra.shape[0], rb.shape[0]
-    r = as_state(rho, (da, db)).rho
-    wa = np.linalg.eigvalsh(ra)
-    wb = np.linalg.eigvalsh(rb)
-    if wa[0] <= 1e-12 or wb[0] <= 1e-12:
-        raise MatrixError("marginals must be strictly positive definite")
-    overlap = float(np.real(np.trace(r @ np.kron(ra, rb))))
-    denom = float(np.exp(np.sum(np.log(wa)) / da + np.sum(np.log(wb)) / db))
-    return overlap / denom
 
 
 @functools.lru_cache(maxsize=32)

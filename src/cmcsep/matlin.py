@@ -212,9 +212,10 @@ class CheckedState:
 
     @functools.cached_property
     def pt_min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the partial transpose over B."""
+        """Smallest eigenvalue of the partial transpose over B.  It permutes
+        the entries of an exactly Hermitian matrix, so it is one too."""
         pt = partial_transpose(self.rho, self.dims, side="B")
-        return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+        return float(np.linalg.eigvalsh(pt)[0])
 
     @functools.cached_property
     def block_cm(self):

@@ -1,5 +1,4 @@
-"""Orthonormal Hermitian observable bases and the orthogonal representation
-of unitaries on basis space."""
+"""Orthonormal Hermitian observable bases."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matlin import MatrixError, as_matrix
+from .matlin import MatrixError
 
 
 @dataclass(frozen=True)
@@ -182,31 +181,3 @@ def make_basis(kind: str, d: int) -> ObservableBasis:
     except KeyError:
         raise MatrixError(f"unknown basis kind {kind!r}") from None
     return factory(d)
-
-
-def gamma_isometry(basis: ObservableBasis) -> np.ndarray:
-    """d^2 x d^2 unitary whose i-th column is the row-major vectorization of
-    the i-th basis element."""
-    d = basis.dim
-    return basis.ops.reshape(d * d, d * d).T.copy()
-
-
-def unitary_to_orthogonal(u, basis: ObservableBasis) -> np.ndarray:
-    """Real orthogonal O with U M_i U^dagger = sum_j O_ij M_j.
-
-    Computed as O = Gamma^T (U^T kron U^dagger) Gamma^*; group homomorphism
-    in U.
-    """
-    um = as_matrix(u)
-    d = basis.dim
-    if um.shape != (d, d):
-        raise MatrixError(f"unitary shape {um.shape} does not match basis dim {d}")
-    dev = np.max(np.abs(um.conj().T @ um - np.eye(d)))
-    if dev > 1e-10:
-        raise MatrixError(f"matrix is not unitary (max deviation {dev:.3e})")
-    gamma = gamma_isometry(basis)
-    o = gamma.T @ np.kron(um.T, um.conj().T) @ gamma.conj()
-    imag = float(np.max(np.abs(o.imag)))
-    if imag > 1e-10:
-        raise MatrixError(f"representation matrix has imaginary part {imag:.3e}")
-    return np.real(o)

@@ -17,14 +17,14 @@ HOST = {"nproc": 2, "affinity_cpus": 2, "python": "3.11.7", "numpy": "2.4.6",
 
 
 def write_run(path, workload, seed, commit, setup_s, digest="d0", failed=0,
-              seconds=40.0, trace=0):
+              seconds=40.0, trace=0, rss=40.0):
     """What perfbench/run.py prints for one run, behind a line of noise."""
     record = {"workload": workload, "trace": trace, "seconds": seconds,
               "failed": failed, "verdict_digest": digest,
               "provenance": {**HOST, "seed": seed, "git_commit": commit}}
     result = {"correct": failed == 0, "attempted": 100, "failed": failed,
               "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
-                          "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}
+                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
     path.write_text("warming up {not json}\n" + json.dumps({"record": record})
                     + "\n" + json.dumps(result) + "\n")
     return str(path)
@@ -53,7 +53,13 @@ def test_summary_of_paired_runs(tmp_path):
     assert setup["change"]["median"] == 0.3
     assert setup["delta_median"] == pytest.approx(-0.7)
     assert (setup["change_lower_pairs"], setup["pairs"]) == (2, 3)
-    assert sweep["metrics"]["peak_rss_mb"]["change_lower_pairs"] == 0
+    # the gate is BENCHMARK.json's
+    assert (setup["better"], setup["bound"]) == ("lower", 0.25)
+    assert setup["within_bound"] and not setup["gain_shown"]
+    rss = sweep["metrics"]["peak_rss_mb"]
+    assert rss["change_lower_pairs"] == 0
+    assert (rss["bound"], rss["within_bound"], rss["gain_shown"]) == \
+        (0.1, True, False)
 
 
 def test_same_commit_and_digest_mismatch(tmp_path):
@@ -61,10 +67,63 @@ def test_same_commit_and_digest_mismatch(tmp_path):
                 write_run(tmp_path / "p", "w", 5, "aaa", 1.0))],
             "change": [bench_trajectory.read_run(
                 write_run(tmp_path / "c", "w", 5, "aaa", 1.0, digest="d1"))]}
-    doc = bench_trajectory.summarize(runs)
+    doc = bench_trajectory.summarize(runs, {})
     assert doc["commits"]["change"] == "uncommitted working tree over aaa"
     assert not doc["workloads"]["w"]["verdict_digests_match"]
-    assert doc["workloads"]["w"]["metrics"]["setup_s"]["parent"]["q1"] == 1.0
+    setup = doc["workloads"]["w"]["metrics"]["setup_s"]
+    assert setup["parent"]["q1"] == 1.0
+    assert "within_bound" not in setup  # not gated
+
+
+def _judged(tmp_path, pairs, gate=(("setup_s", ("lower", 0.25)),)):
+    """setup_s and peak_rss_mb of same-seed (parent, change) value pairs."""
+    runs = {"parent": [], "change": []}
+    for seed, ((p, c), (prss, crss)) in enumerate(pairs):
+        runs["parent"].append(bench_trajectory.read_run(
+            write_run(tmp_path / f"p{seed}", "w", seed, "aaa", p, rss=prss)))
+        runs["change"].append(bench_trajectory.read_run(
+            write_run(tmp_path / f"c{seed}", "w", seed, "bbb", c, rss=crss)))
+    return bench_trajectory.summarize(runs, dict(gate))["workloads"]["w"]["metrics"]
+
+
+def test_gate_flags_a_regression(tmp_path):
+    # setup_s +30% against a 25% bound; peak_rss_mb, better higher here,
+    # -5% against a 10% bound
+    metrics = _judged(tmp_path, [((1.0, 1.3), (40.0, 38.0)),
+                                 ((1.1, 1.4), (40.0, 38.0)),
+                                 ((0.9, 1.2), (40.0, 38.0))],
+                      gate=(("setup_s", ("lower", 0.25)),
+                            ("peak_rss_mb", ("higher", 0.1))))
+    assert not metrics["setup_s"]["within_bound"]
+    assert not metrics["setup_s"]["gain_shown"]
+    assert metrics["peak_rss_mb"]["within_bound"]
+    assert not metrics["peak_rss_mb"]["gain_shown"]
+
+
+def test_gate_shows_a_gain_won_in_nine_of_ten_pairs(tmp_path):
+    parent = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.1, 0.9, 1.05, 0.95]
+    change = [0.5] * 9 + [1.2]
+    rss = [(40.0, 40.0)] * 10
+    setup = _judged(tmp_path, list(zip(zip(parent, change), rss)))["setup_s"]
+    assert setup["within_bound"] and setup["gain_shown"]
+    # one more lost pair is below nine tenths
+    change[0] = 1.2
+    setup = _judged(tmp_path, list(zip(zip(parent, change), rss)))["setup_s"]
+    assert setup["within_bound"] and not setup["gain_shown"]
+
+
+def test_gate_leaves_ties_and_small_gains_unresolved(tmp_path):
+    rss = [(40.0, 40.0)] * 10
+    # the change never reads worse, but 8 of 10 pairs tie
+    ties = [(1.0, 1.0)] * 8 + [(1.0, 0.5), (1.2, 0.5)]
+    setup = _judged(tmp_path, list(zip(ties, rss)))["setup_s"]
+    assert setup["within_bound"] and not setup["gain_shown"]
+    # better in every pair, by less than the parent's q3 - q1
+    parent = [0.8, 0.9, 1.0, 1.1, 1.2] * 2
+    small = [(p, p - 0.01) for p in parent]
+    setup = _judged(tmp_path, list(zip(small, rss)))["setup_s"]
+    assert setup["change_lower_pairs"] == 10
+    assert setup["within_bound"] and not setup["gain_shown"]
 
 
 @pytest.mark.parametrize("change_kw, message", [

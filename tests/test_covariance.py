@@ -1,5 +1,5 @@
 """Tests for covariance matrix construction, transformation, structure
-theorems, Bloch inversion, and reconstruction."""
+theorems and Bloch inversion."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ from cmcsep import covariance as cov
 from cmcsep import matlin, states
 from cmcsep.matlin import MatrixError
 from cmcsep.observables import (PAULI, ObservableBasis, gellmann_like_basis,
-                                pauli_basis, standard_basis,
-                                unitary_to_orthogonal)
+                                pauli_basis, standard_basis)
 
 
 def random_orthogonal(n, rng):
@@ -145,56 +144,18 @@ def test_transform_cm_spectrum_invariant():
 
 
 def test_cm_transforms_with_unitary_conjugation():
-    """gamma(U^dag rho U) = O gamma(rho) O^T for O representing U."""
+    """gamma(U^dag rho U) = O gamma(rho) O^T for the O with
+    U M_i U^dag = sum_j O_ij M_j, re-expanded as O_ij = Re tr(U M_i U^dag M_j)."""
     rng = np.random.default_rng(48)
     basis = standard_basis(3)
     rho = states.random_density(3, rng=rng)
     u = random_unitary(3, rng)
-    o = unitary_to_orthogonal(u, basis)
+    conj = u @ basis.ops @ u.conj().T
+    o = np.real(np.einsum("iab,jba->ij", conj, basis.ops))
+    np.testing.assert_allclose(o @ o.T, np.eye(9), atol=1e-12)
     left = cov.build_cm(u.conj().T @ rho @ u, basis, kind="nonsymmetric").matrix
     right = o @ cov.build_cm(rho, basis, kind="nonsymmetric").matrix @ o.T
     assert np.max(np.abs(left - right)) < 1e-9
-
-
-def test_reconstruct_pure_qubit_roundtrip():
-    rng = np.random.default_rng(49)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    rho = np.outer(v, v.conj())
-    cm = cov.build_cm(rho, standard_basis(2), kind="nonsymmetric")
-    rec = cov.reconstruct_state(cm)
-    fidelity = float(np.real(v.conj() @ rec @ v))
-    assert abs(fidelity - 1.0) < 1e-8
-
-
-def test_reconstruct_block_roundtrip():
-    rng = np.random.default_rng(50)
-    rho = states.random_density(9, rng=rng)
-    bcm = cov.build_block_cm(rho, standard_basis(3), standard_basis(3),
-                             kind="nonsymmetric")
-    rec = cov.reconstruct_state(bcm)
-    assert np.linalg.norm(rec - rho) < 1e-8
-
-
-def test_reconstruct_maximally_mixed():
-    cm = cov.build_cm(np.eye(3) / 3, standard_basis(3), kind="nonsymmetric")
-    rec = cov.reconstruct_state(cm)
-    np.testing.assert_allclose(rec, np.eye(3) / 3, atol=1e-10)
-
-
-def test_reconstruct_rejects_tampered_cm():
-    rng = np.random.default_rng(51)
-    rho = states.random_density(2, rng=rng)
-    cm = cov.build_cm(rho, standard_basis(2), kind="nonsymmetric")
-    bad = cm.matrix.copy()
-    bad[0, 1] += 0.3j  # breaks the commutator bookkeeping
-    bad[1, 0] -= 0.3j
-    tampered = cov.CovarianceMatrix(kind="nonsymmetric", matrix=bad,
-                                    basis=cm.basis,
-                                    first_moments=cm.first_moments,
-                                    linear_part=cm.linear_part)
-    with pytest.raises(cov.InconsistentCovarianceError):
-        cov.reconstruct_state(tampered)
 
 
 def cm_spectrum(cm):

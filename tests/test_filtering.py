@@ -8,7 +8,7 @@ import pytest
 from cmcsep import filtering, matlin, states
 from cmcsep.covariance import build_block_cm
 from cmcsep.criteria import cmc_filter
-from cmcsep.filtering import f_rho, normal_form
+from cmcsep.filtering import normal_form
 from cmcsep.matlin import MatrixError, hermitize
 from cmcsep.observables import gellmann_like_basis
 
@@ -143,33 +143,6 @@ def reference_newton_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
         noise_eps=applied_eps,
         dims=(da, db),
     )
-
-
-def test_f_all_maximally_mixed_is_one():
-    assert abs(f_rho(np.eye(6) / 6, np.eye(2) / 2, np.eye(3) / 3) - 1.0) < 1e-12
-
-
-def test_f_scale_invariant_in_marginal_arguments():
-    rng = np.random.default_rng(70)
-    rho = states.random_density(6, rng=rng)
-    ra = states.random_density(2, rng=rng)
-    rb = states.random_density(3, rng=rng)
-    base = f_rho(rho, ra, rb)
-    assert abs(f_rho(rho, 2.0 * ra, 0.5 * rb) - base) < 1e-10 * abs(base)
-
-
-def test_f_positive_on_random_states():
-    rng = np.random.default_rng(71)
-    for _ in range(20):
-        rho = states.random_density(9, rng=rng)
-        ra = states.random_density(3, rng=rng)
-        rb = states.random_density(3, rng=rng)
-        assert f_rho(rho, ra, rb) > 0
-
-
-def test_f_rejects_singular_marginal():
-    with pytest.raises(MatrixError, match="positive definite"):
-        f_rho(np.eye(4) / 4, np.diag([1.0, 0.0]), np.eye(2) / 2)
 
 
 def test_normal_form_identity_state():

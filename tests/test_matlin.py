@@ -147,6 +147,18 @@ def test_partial_transpose_involution():
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     twice = matlin.partial_transpose(matlin.partial_transpose(m, (2, 3)), (2, 3))
     assert np.max(np.abs(twice - m)) < 1e-14
+    # it permutes entries, so the PT of every source of CheckedState.rho
+    # (a hermitized state, its swap, its noise mixture) is exactly Hermitian
+    for dims in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (3, 4)]:
+        n = dims[0] * dims[1]
+        for rank in (1, n):
+            g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            st = matlin.as_state(g @ g.conj().T / np.linalg.norm(g) ** 2, dims)
+            mixed, eps = st.mixed(0.5)
+            assert eps == 0.5
+            for s in (st, st._swap, mixed):
+                pt = matlin.partial_transpose(s.rho, s.dims)
+                assert np.array_equal(pt, pt.conj().T)
 
 
 def test_realign_product_rank_one():

@@ -1,17 +1,10 @@
-"""Tests for observable bases and the orthogonal representation of
-unitaries."""
+"""Tests for observable bases."""
 
 import numpy as np
 import pytest
 
 from cmcsep import observables as obs
 from cmcsep.matlin import MatrixError
-
-
-def random_unitary(d, rng):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -93,73 +86,6 @@ def test_weyl_parity_involutions():
 def test_weyl_parity_rejects_even():
     with pytest.raises(MatrixError):
         obs.weyl_parity_basis(4)
-
-
-def test_gamma_isometry_unitary():
-    for basis in [obs.standard_basis(3), obs.gellmann_like_basis(3),
-                  obs.weyl_parity_basis(3)]:
-        g = obs.gamma_isometry(basis)
-        np.testing.assert_allclose(g.conj().T @ g, np.eye(9), atol=1e-10)
-        np.testing.assert_allclose(g @ g.conj().T, np.eye(9), atol=1e-10)
-
-
-def test_unitary_to_orthogonal_identity():
-    basis = obs.standard_basis(3)
-    np.testing.assert_allclose(obs.unitary_to_orthogonal(np.eye(3), basis),
-                               np.eye(9), atol=1e-12)
-
-
-def test_unitary_to_orthogonal_z_rotation():
-    """exp(-i theta sigma_z / 2) rotates the (x, y) pair and fixes 1, z."""
-    theta = 0.7
-    u = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
-    basis = obs.pauli_basis()
-    o = obs.unitary_to_orthogonal(u, basis)
-    # oracle: conjugate each element directly and re-expand
-    expected = np.zeros((4, 4))
-    for i in range(4):
-        h = u @ basis.ops[i] @ u.conj().T
-        for j in range(4):
-            expected[i, j] = np.real(np.trace(h @ basis.ops[j]))
-    np.testing.assert_allclose(o, expected, atol=1e-10)
-    np.testing.assert_allclose(o[0], [1, 0, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(o[3], [0, 0, 0, 1], atol=1e-12)
-    block = o[1:3, 1:3]
-    np.testing.assert_allclose(block @ block.T, np.eye(2), atol=1e-12)
-    assert abs(np.linalg.det(block) - 1.0) < 1e-12
-
-
-def test_unitary_to_orthogonal_random():
-    rng = np.random.default_rng(30)
-    basis = obs.standard_basis(3)
-    for _ in range(50):
-        u = random_unitary(3, rng)
-        o = obs.unitary_to_orthogonal(u, basis)
-        assert np.linalg.norm(o.T @ o - np.eye(9)) < 1e-9
-        # conjugation expands over the basis with coefficients O
-        k = rng.integers(0, 9)
-        h = u @ basis.ops[k] @ u.conj().T
-        expansion = np.einsum("j,jab->ab", o[k], basis.ops)
-        assert np.max(np.abs(h - expansion)) < 1e-10
-
-
-def test_unitary_to_orthogonal_composition():
-    """Representation property of the conjugation action.  With the
-    expansion convention U M_i U^dag = sum_j O_ij M_j the factors compose in
-    reverse order, O(U1 U2) = O(U2) O(U1)."""
-    rng = np.random.default_rng(31)
-    basis = obs.gellmann_like_basis(3)
-    for _ in range(10):
-        u1 = random_unitary(3, rng)
-        u2 = random_unitary(3, rng)
-        o12 = obs.unitary_to_orthogonal(u1 @ u2, basis)
-        prod = obs.unitary_to_orthogonal(u2, basis) @ obs.unitary_to_orthogonal(u1, basis)
-        assert np.max(np.abs(o12 - prod)) < 1e-9
-
-
-def test_unitary_to_orthogonal_rejects_nonunitary():
-    with pytest.raises(MatrixError, match="unitary"):
-        obs.unitary_to_orthogonal(np.diag([1.0, 2.0]), obs.pauli_basis())
 
 
 def test_make_basis_dispatch():

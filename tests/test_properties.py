@@ -1,7 +1,9 @@
 """Property tests: every two-qubit verdict is invariant under local unitaries
 and under exchanging the subsystems.  So are the verdicts and margins at
 larger dimensions: under local unitaries at (2,3), (3,3) and (2,5), and under
-the exchange at (2,3) and (3,4).  The filter normal form, and so the filter
+the exchange at (2,3) and (3,4).  On those larger states no verdict flags a
+separable mixture, in either orientation, and the implications between
+criteria hold state by state.  The filter normal form, and so the filter
 verdict, is invariant under local invertible filters.
 
 Examples are derandomized, so the suite draws the same states on every run.
@@ -29,6 +31,10 @@ SWAP_MARGIN_CRITERIA = ("ppt", "ccnr", "de_vicente", "cmc_singular_values",
 
 _settings = settings(derandomize=True, database=None, deadline=None,
                      max_examples=15)
+# (stronger, weaker): a detection by the first implies one by the second
+IMPLICATIONS = (("de_vicente", "cmc_singular_values"),
+                ("cmc_trace", "cmc_singular_values"),
+                ("ccnr", "cmc_schmidt"))
 
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,6 +48,16 @@ def _two_qubit_state(seed: int, separable: bool) -> np.ndarray:
     if separable:
         return states.random_separable(2, 2, int(rng.integers(4, 16)), rng=rng)
     return states.random_density(4, rng=rng)
+
+
+def _check_sound_and_ordered(verdicts, separable: bool) -> None:
+    """No verdict flags a separable state, and every implication holds."""
+    if separable:
+        assert all(v.status == "ok" and not v.detected for v in verdicts), \
+            [(v.name, v.status, v.margin) for v in verdicts if v.detected]
+    flags = {v.name: v.detected for v in verdicts}
+    for stronger, weaker in IMPLICATIONS:
+        assert flags[weaker] or not flags[stronger], (stronger, weaker)
 
 
 def _flags(rho) -> list[tuple[str, bool]]:
@@ -88,6 +104,8 @@ def test_uneven_verdicts_invariant_under_subsystem_swap(dims, seed, separable):
         rho = states.random_density(da * db, rng=rng)
     here = run_all(rho, dims)
     there = run_all(matlin.swap_subsystems(rho, dims), (db, da))
+    _check_sound_and_ordered(here, separable)
+    _check_sound_and_ordered(there, separable)
     assert [(v.name, v.detected) for v in there] == \
         [(v.name, v.detected) for v in here]
     for v, w in zip(here, there):
@@ -111,6 +129,8 @@ def test_verdicts_and_margins_invariant_under_local_unitaries(dims, seed, separa
     u = np.kron(_haar_unitary(da, rng), _haar_unitary(db, rng))
     here = run_all(rho, dims)
     there = run_all(u @ rho @ u.conj().T, dims)
+    _check_sound_and_ordered(here, separable)
+    _check_sound_and_ordered(there, separable)
     assert [(v.name, v.detected) for v in there] == \
         [(v.name, v.detected) for v in here]
     compared = SWAP_MARGIN_CRITERIA + (("cmc_trace",) if da == db else ())

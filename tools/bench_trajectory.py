@@ -11,7 +11,14 @@ end-to-end metric the output gives each side's median, inclusive quartiles,
 min, max and run count, the relative change of the median, and the number of
 pairs in which the change reads lower; per workload the seeds, the failure
 counts and whether the verdict digests agree; and the commits and the host
-the runs were made on.  It uses the standard library only.
+the runs were made on.
+
+For each metric that ``BENCHMARK.json`` gates (read, never written) it also
+gives the metric's ``better`` direction and ``bound``, ``within_bound`` (the
+change median is worse than the parent median by at most ``bound`` of it) and
+``gain_shown`` (the change reads better in at least nine tenths of the pairs,
+ties counting for neither, and its median is better by more than the
+parent's q3 - q1).  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -60,6 +67,25 @@ def spread(values: list[float]) -> dict:
             "min": vals[0], "max": vals[-1], "n": len(vals)}
 
 
+def read_gate() -> dict[str, tuple[str, float]]:
+    """{metric: (better, bound)} for the end-to-end metrics that
+    BENCHMARK.json declares."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["better"], m["bound"]) for m in doc["end_to_end"]}
+
+
+def judge(par: list[float], chg: list[float], ps: dict, cs: dict,
+          better: str, bound: float) -> dict:
+    """The gate's reading of one metric over same-seed pairs."""
+    sign = 1.0 if better == "lower" else -1.0
+    gain = sign * (ps["median"] - cs["median"])
+    wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
+    return {"better": better, "bound": bound,
+            "within_bound": -gain <= bound * abs(ps["median"]),
+            "gain_shown": 10 * wins >= 9 * len(par)
+                          and gain > ps["q3"] - ps["q1"]}
+
+
 def _same(runs: list[dict], what: str, get):
     values = {json.dumps(get(r), sort_keys=True) for r in runs}
     if len(values) != 1:
@@ -67,8 +93,10 @@ def _same(runs: list[dict], what: str, get):
     return get(runs[0])
 
 
-def summarize(runs: dict[str, list[dict]]) -> dict:
-    """The trajectory point for runs {"parent": [...], "change": [...]}."""
+def summarize(runs: dict[str, list[dict]],
+              gate: dict[str, tuple[str, float]]) -> dict:
+    """The trajectory point for runs {"parent": [...], "change": [...]},
+    judged by ``gate`` as read_gate returns it."""
     everything = runs["parent"] + runs["change"]
     if not runs["parent"] or not runs["change"]:
         raise ValueError("need runs of both sides")
@@ -103,6 +131,8 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
                 "delta_median": (cs["median"] - ps["median"]) / ps["median"],
                 "change_lower_pairs": sum(c < p for p, c in zip(par, chg)),
                 "pairs": len(pairs)}
+            if metric in gate:
+                metrics[metric].update(judge(par, chg, ps, cs, *gate[metric]))
         workloads[name] = {
             "seeds": seeds, "metrics": metrics,
             "failed": {side: [pair[i]["failed"] for pair in pairs]
@@ -124,7 +154,11 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
         "stats": "median, q1/q3 (inclusive quartiles) and min/max over the "
                  "runs of one side; delta_median is (change - parent) / "
                  "parent; change_lower_pairs counts same-seed pairs where the "
-                 "change reads lower",
+                 "change reads lower; better and bound are BENCHMARK.json's; "
+                 "within_bound: the change median is worse than the parent "
+                 "median by at most bound of it; gain_shown: the change reads "
+                 "better in at least 9/10 of the pairs (ties count for "
+                 "neither) and its median by more than the parent's q3 - q1",
         "commits": commits,
         "host": {"nproc": prov["nproc"], "affinity_cpus": prov["affinity_cpus"],
                  "python": prov["python"], "numpy": prov["numpy"],
@@ -148,7 +182,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = summarize({"parent": [read_run(p) for p in args.parent],
-                         "change": [read_run(p) for p in args.change]})
+                         "change": [read_run(p) for p in args.change]},
+                        read_gate())
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
