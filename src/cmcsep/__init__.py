@@ -11,7 +11,6 @@ from .covariance import (
 )
 from .criteria import (
     CriterionVerdict,
-    LurSet,
     ccnr,
     cmc_filter,
     cmc_kyfan_weyl,

@@ -250,15 +250,14 @@ def bisect_threshold(family: str, crit_name: str, p_lo: float, p_hi: float,
     if not (tol > 0 and 0.0 <= p_lo < p_hi <= 1.0):
         raise InputError(f"need tol > 0 and 0 <= p_lo < p_hi <= 1, got "
                          f"tol={tol}, p_lo={p_lo}, p_hi={p_hi}")
-    flags = [_threshold_eval(family, crit_name, p)
-             for p in np.linspace(p_lo, p_hi, PRESWEEP)]
+    grid = np.linspace(p_lo, p_hi, PRESWEEP)
+    flags = [_threshold_eval(family, crit_name, p) for p in grid]
     if flags[0] or not flags[-1]:
         raise InputError(
             f"detection is not bracketed on [{p_lo}, {p_hi}] for {crit_name}")
     first = flags.index(True)
     if any(flags[i] and not flags[i + 1] for i in range(first, PRESWEEP - 1)):
         raise InputError("detection is not monotone on the requested interval")
-    grid = np.linspace(p_lo, p_hi, PRESWEEP)
     lo, hi = grid[first - 1], grid[first]
     mid = 0.5 * (lo + hi)
     # a tol below the float spacing stops once the interval cannot split
@@ -461,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("benchmark", help="seeded chessboard detection fractions")
-    p.add_argument("--family", default="chessboard", choices=["chessboard"])
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--criteria", default="default")

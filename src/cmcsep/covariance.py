@@ -9,7 +9,7 @@ import numpy as np
 
 from . import matlin
 from .matlin import MatrixError, as_matrix, as_state, hermitize
-from .observables import ObservableBasis, pauli_basis
+from .observables import ObservableBasis
 
 # Accumulated rounding across d^2-term sums; eigenvalues below this floor
 # signal an invalid input state rather than a detection result.
@@ -21,16 +21,13 @@ class CovarianceMatrix:
     """Covariance matrix of a full observable basis on one system.
 
     ``kind`` is ``symmetric`` (real, anticommutator convention) or
-    ``nonsymmetric`` (complex Hermitian, operator-ordered).  The linear part
-    <M_i M_j> (symmetrized for the symmetric kind) rides along for criteria
-    that need second moments alone.
+    ``nonsymmetric`` (complex Hermitian, operator-ordered).
     """
 
     kind: str
     matrix: np.ndarray = field(repr=False)
     basis: ObservableBasis = field(repr=False)
     first_moments: np.ndarray = field(repr=False)
-    linear_part: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -113,15 +110,12 @@ def _cm(r: np.ndarray, basis: ObservableBasis, kind: str) -> CovarianceMatrix:
     g = second_moments(r, basis.ops)
     m = first_moments(r, basis.ops)
     if kind == "symmetric":
-        lin = np.real(g)
-        cm = lin - np.outer(m, m)
+        cm = np.real(g) - np.outer(m, m)
     elif kind == "nonsymmetric":
-        lin = g
         cm = g - np.outer(m, m).astype(complex)
     else:
         raise MatrixError(f"kind must be 'symmetric' or 'nonsymmetric', got {kind!r}")
-    return CovarianceMatrix(kind=kind, matrix=cm, basis=basis,
-                            first_moments=m, linear_part=lin)
+    return CovarianceMatrix(kind=kind, matrix=cm, basis=basis, first_moments=m)
 
 
 def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
@@ -150,9 +144,9 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
     return bcm
 
 
-def concavity_check(rhos, probs, basis: ObservableBasis,
-                    kind: str = "nonsymmetric") -> float:
-    """Minimal eigenvalue of gamma(sum p_k rho_k) - sum p_k gamma(rho_k).
+def concavity_check(rhos, probs, basis: ObservableBasis) -> float:
+    """Minimal eigenvalue of gamma(sum p_k rho_k) - sum p_k gamma(rho_k) for
+    the nonsymmetric CM.
 
     Non-negative (to rounding) for any valid mixture.
     """
@@ -162,8 +156,8 @@ def concavity_check(rhos, probs, basis: ObservableBasis,
     if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
         raise MatrixError("weights must form a probability distribution")
     mixture = sum(p * as_matrix(r) for p, r in zip(probs, rhos))
-    gamma_mix = build_cm(mixture, basis, kind).matrix
-    gamma_avg = sum(p * build_cm(r, basis, kind).matrix
+    gamma_mix = build_cm(mixture, basis, "nonsymmetric").matrix
+    gamma_avg = sum(p * build_cm(r, basis, "nonsymmetric").matrix
                     for p, r in zip(probs, rhos))
     diff = gamma_mix - gamma_avg
     return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
@@ -193,25 +187,19 @@ def bloch_invert(rho, side: str = "A") -> tuple[np.ndarray, float]:
 
 def two_qubit_effective_cm(rho) -> np.ndarray:
     """6x6 symmetric block CM of a two-qubit state over the traceless Pauli
-    observables sigma_k/sqrt2 (identity rows and columns vanish)."""
-    basis = pauli_basis()
-    return build_block_cm(rho, basis, basis, kind="symmetric").traceless_part()
+    observables sigma_k/sqrt2: the traceless part of the state's shared
+    block CM, whose Gell-Mann-like basis for d = 2 is the Pauli basis."""
+    return as_state(rho, (2, 2)).block_cm.traceless_part()
 
 
-def cm_to_json(cm: CovarianceMatrix | BlockCovarianceMatrix) -> dict:
-    """JSON-serializable export: kind, basis tag, dense matrix, moments."""
-    if isinstance(cm, BlockCovarianceMatrix):
-        return matlin.json_safe({
-            "kind": cm.kind,
-            "basis": [cm.basis_a.kind, cm.basis_b.kind],
-            "blocks": {"a": cm.a, "b": cm.b, "c": cm.c},
-            "matrix": cm.assembled(),
-            "first_moments": {"a": cm.moments_a, "b": cm.moments_b},
-            "purity": {"a": cm.purity_a, "b": cm.purity_b},
-        })
+def cm_to_json(cm: BlockCovarianceMatrix) -> dict:
+    """JSON-serializable export of a block CM: kind, basis tags, blocks,
+    dense matrix, moments and purities."""
     return matlin.json_safe({
         "kind": cm.kind,
-        "basis": cm.basis.kind,
-        "matrix": cm.matrix,
-        "first_moments": cm.first_moments,
+        "basis": [cm.basis_a.kind, cm.basis_b.kind],
+        "blocks": {"a": cm.a, "b": cm.b, "c": cm.c},
+        "matrix": cm.assembled(),
+        "first_moments": {"a": cm.moments_a, "b": cm.moments_b},
+        "purity": {"a": cm.purity_a, "b": cm.purity_b},
     })

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import filtering, matlin, sdpsolve
+from . import covariance, filtering, matlin, sdpsolve
 from .matlin import MatrixError, as_state, hermitize
 from .observables import pauli_basis
 
@@ -44,16 +44,6 @@ class CriterionVerdict:
             "status": self.status,
             "details": matlin.json_safe(self.details),
         }
-
-
-@dataclass(frozen=True)
-class LurSet:
-    """Local observables whose joint variance sum is bounded below by
-    ``bound`` on separable states; witness-derived sets have bound 1."""
-
-    ops_a: np.ndarray = field(repr=False)
-    ops_b: np.ndarray = field(repr=False)
-    bound: float = 1.0
 
 
 def _verdict(name: str, margin: float, details: dict,
@@ -185,9 +175,8 @@ def filter_xi_bound(dims: tuple[int, int], converged: bool = True) -> float:
     return min(bound_drop, bound_bloch)
 
 
-def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
-               max_iter: int = filtering.DEFAULT_MAX_ITER,
-               noise_eps: float = filtering.DEFAULT_NOISE_EPS) -> CriterionVerdict:
+def cmc_filter(rho, dims: tuple[int, int],
+               max_iter: int = filtering.DEFAULT_MAX_ITER) -> CriterionVerdict:
     """Bring the state to its filter normal form and test the coefficient
     sum against d^2 - d (equal dimensions) or the two uneven-dimension
     bounds; necessary and sufficient for two qubits.
@@ -199,7 +188,7 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
     """
     st = as_state(rho, dims).oriented
     da, db = st.dims
-    if (int(np.sum(st.eigenvalues > noise_eps)) <= db
+    if (int(np.sum(st.eigenvalues > filtering.DEFAULT_NOISE_EPS)) <= db
             and not ppt(st, st.dims).detected):
         r = st.rho
         xi = filtering.normal_form_coefficients(r / np.real(np.trace(r)), (da, db))
@@ -210,8 +199,7 @@ def cmc_filter(rho, dims: tuple[int, int], tol: float = filtering.DEFAULT_TOL,
             details={"xi": xi, "xi_sum": total, "bound": bound,
                      "converged": False, "iterations": 0, "noise_eps": 0.0,
                      "separable_by": "low_rank_ppt", "swapped": st.swapped})
-    nf = filtering.normal_form(st, st.dims, tol=tol, max_iter=max_iter,
-                               noise_eps=noise_eps)
+    nf = filtering.normal_form(st, st.dims, max_iter=max_iter)
     total = float(np.sum(nf.xi))
     bound = filter_xi_bound((da, db), nf.converged)
     details = {
@@ -270,16 +258,17 @@ def _two_qubit_sdp_problem(gamma_eff: np.ndarray) -> sdpsolve.SdpProblem:
     return sdpsolve.SdpProblem(c=c, f0_blocks=f0_blocks, fi_blocks=fi)
 
 
-def extract_lur_from_witness(z1: np.ndarray) -> LurSet:
+def extract_lur_from_witness(z1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a CM-witness into local uncertainty
     observables A_k = sqrt(l_k) sum alpha_l sigma_l / sqrt2 and likewise for
-    B, reproducing tr(gamma_eff Z1) as the variance sum."""
+    B, returned as (ops_a, ops_b), reproducing tr(gamma_eff Z1) as the
+    variance sum, which is at least 1 on every separable state."""
     w, v = np.linalg.eigh((z1 + z1.T) / 2)
     keep = w > WITNESS_CUTOFF
     # rows of coeff alternate the A and B halves of each scaled eigenvector
     coeff = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, 3)
     ops = (coeff @ pauli_basis().ops[1:].reshape(3, 4)).reshape(-1, 2, 2, 2)
-    return LurSet(ops_a=ops[:, 0], ops_b=ops[:, 1], bound=1.0)
+    return ops[:, 0], ops[:, 1]
 
 
 def lur_value(rho, ops_a, ops_b) -> float:
@@ -308,8 +297,7 @@ def lur_value(rho, ops_a, ops_b) -> float:
     return float(np.sum(sq_a + sq_b + 2 * cross - (mean_a + mean_b) ** 2))
 
 
-def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
-               max_iter: int = sdpsolve.DEFAULT_MAX_ITER) -> CriterionVerdict:
+def cmc_sdp_2q(rho, max_iter: int = sdpsolve.DEFAULT_MAX_ITER) -> CriterionVerdict:
     """Exact two-qubit covariance-matrix test as a semidefinite program; the
     dual solution doubles as a CM-witness and yields violating local
     uncertainty observables for every detected state.
@@ -322,11 +310,9 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
     state solved on; ``details["noise_eps"]`` is the noise (0.0 when none).
     """
     st, noise_eps = as_state(rho, (2, 2)).mixed(filtering.DEFAULT_NOISE_EPS)
-    # the Gell-Mann-like basis for d = 2 is the Pauli basis, so this equals
-    # covariance.two_qubit_effective_cm(st.rho)
-    gamma_eff = st.block_cm.traceless_part()
+    gamma_eff = covariance.two_qubit_effective_cm(st)
     problem = _two_qubit_sdp_problem(gamma_eff)
-    sol = sdpsolve.solve(problem, tol=tol, max_iter=max_iter)
+    sol = sdpsolve.solve(problem, max_iter=max_iter)
     if sol.status != "optimal":
         return CriterionVerdict(
             name="cmc_sdp_2q", detected=None, margin=float("nan"),
@@ -336,22 +322,20 @@ def cmc_sdp_2q(rho, tol: float = sdpsolve.DEFAULT_TOL,
     lam_star = float(sol.x[0])
     z1 = sol.z_blocks[0]
     z1 = (z1 + z1.T) / 2
-    lur = extract_lur_from_witness(z1)
+    ops_a, ops_b = extract_lur_from_witness(z1)
     details = {
         "lambda_star": lam_star,
         "witness_z1": z1,
         "witness_value": float(np.tensordot(gamma_eff, z1, axes=2)),
-        "lur_ops_a": lur.ops_a,
-        "lur_ops_b": lur.ops_b,
-        "lur_bound": lur.bound,
-        "lur_value": lur_value(st.rho, lur.ops_a, lur.ops_b),
+        "lur_ops_a": ops_a,
+        "lur_ops_b": ops_b,
+        "lur_bound": 1.0,
+        "lur_value": lur_value(st.rho, ops_a, ops_b),
         "gap": sol.gap,
         "iterations": sol.iterations,
         "noise_eps": noise_eps,
     }
-    return CriterionVerdict(
-        name="cmc_sdp_2q", detected=bool(lam_star < -SDP_EPS_MARGIN),
-        margin=-lam_star, details=details, eps_margin=SDP_EPS_MARGIN)
+    return _verdict("cmc_sdp_2q", -lam_star, details, SDP_EPS_MARGIN)
 
 
 # The criterion family in evaluation order: CLI spelling -> criterion name.

@@ -36,14 +36,6 @@ class ObservableBasis:
     def __len__(self) -> int:
         return self.ops.shape[0]
 
-    def gram(self) -> np.ndarray:
-        """Matrix of Hilbert-Schmidt overlaps tr(M_i M_j)."""
-        return np.real(np.einsum("iab,jba->ij", self.ops, self.ops))
-
-    def traces(self) -> np.ndarray:
-        """Vector of traces tr(M_i), real for Hermitian elements."""
-        return np.real(np.einsum("iaa->i", self.ops))
-
 
 def _read_only(ops: list) -> np.ndarray:
     # cached bases are shared by every caller, so their data must not change

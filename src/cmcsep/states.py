@@ -121,10 +121,9 @@ def rho_epsilon_valid(eps: float, r: float, s: float, t: float) -> bool:
     return float(np.linalg.eigvalsh(_rho_epsilon_matrix(eps, r, s, t))[0]) >= -PSD_CLIP
 
 
-def random_density(d: int, rank: int | None = None,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
+def random_density(d: int, rank: int | None = None, *,
+                   rng: np.random.Generator) -> np.ndarray:
     """Random density matrix G G^dagger / tr with Gaussian G of given rank."""
-    rng = np.random.default_rng() if rng is None else rng
     rank = d if rank is None else rank
     if not 1 <= rank <= d:
         raise MatrixError(f"rank {rank} outside [1, {d}]")
@@ -133,8 +132,8 @@ def random_density(d: int, rank: int | None = None,
     return rho / np.real(np.trace(rho))
 
 
-def random_separable(d_a: int, d_b: int, n_terms: int = 10,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
+def random_separable(d_a: int, d_b: int, n_terms: int = 10, *,
+                     rng: np.random.Generator) -> np.ndarray:
     """Explicit convex mixture of product pure states; separable by
     construction, used as the soundness oracle.
 
@@ -147,7 +146,6 @@ def random_separable(d_a: int, d_b: int, n_terms: int = 10,
     if d_a < 1 or d_b < 1:
         raise MatrixError(
             f"local dimensions must be at least 1, got ({d_a}, {d_b})")
-    rng = np.random.default_rng() if rng is None else rng
     weights = rng.exponential(size=n_terms)
     weights /= weights.sum()
     n = d_a * d_b

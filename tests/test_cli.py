@@ -400,11 +400,12 @@ def test_gen_separable_needs_a_term(tmp_path, capsys):
     assert run_cli(["gen", "--family", "separable", "--terms", "0",
                     "-o", str(out)]) == 2
     assert not out.exists()
+    rng = np.random.default_rng(0)
     with pytest.raises(MatrixError):
-        states.random_separable(2, 2, n_terms=0)
+        states.random_separable(2, 2, n_terms=0, rng=rng)
     for dims in ((0, 3), (-1, 2)):
         with pytest.raises(MatrixError, match="at least 1"):
-            states.random_separable(*dims)
+            states.random_separable(*dims, rng=rng)
 
 
 def test_normal_form_out_of_range_exit_code(tmp_path, capsys):

@@ -270,10 +270,10 @@ def test_lur_value_singlet_pauli_pairs():
 
 def test_extract_lur_shapes():
     v = cmc_sdp_2q(states.werner_2q(0.8))
-    lur = extract_lur_from_witness(v.details["witness_z1"])
-    assert lur.ops_a.shape[1:] == (2, 2)
-    assert lur.bound == 1.0
-    herm = np.max(np.abs(lur.ops_a - lur.ops_a.conj().transpose(0, 2, 1)))
+    ops_a, ops_b = extract_lur_from_witness(v.details["witness_z1"])
+    assert ops_a.shape[1:] == (2, 2) and ops_b.shape == ops_a.shape
+    assert v.details["lur_bound"] == 1.0
+    herm = np.max(np.abs(ops_a - ops_a.conj().transpose(0, 2, 1)))
     assert herm < 1e-12
 
 
@@ -340,13 +340,13 @@ def test_extract_lur_matches_einsum_reference():
     for z1 in witnesses:
         if z1 is None:
             continue
-        lur = extract_lur_from_witness(z1)
+        ops_a, ops_b = extract_lur_from_witness(z1)
         ref_a, ref_b = _reference_extract_lur(z1)
-        assert lur.ops_a.shape == ref_a.shape and lur.ops_b.shape == ref_b.shape
+        assert ops_a.shape == ref_a.shape and ops_b.shape == ref_b.shape
         if len(ref_a):
-            assert np.max(np.abs(lur.ops_a - ref_a)) <= 1e-12
-            assert np.max(np.abs(lur.ops_b - ref_b)) <= 1e-12
-    assert len(extract_lur_from_witness(g @ g.T).ops_a) == 3
+            assert np.max(np.abs(ops_a - ref_a)) <= 1e-12
+            assert np.max(np.abs(ops_b - ref_b)) <= 1e-12
+    assert len(extract_lur_from_witness(g @ g.T)[0]) == 3
 
 
 def test_hierarchy_on_chessboard_samples():
@@ -485,6 +485,37 @@ def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
     assert len(schmidt_calls) == 1
     # with d_A > d_B every criterion shares the CM of the swapped state
     assert len(bcm_calls) == 1
+
+
+def test_sdp_cm_is_cut_from_the_shared_block_cm(monkeypatch):
+    """On a full-rank two-qubit state run_all builds one block CM, and the
+    SDP takes its effective CM from it, once."""
+    cm_calls = count_calls(monkeypatch, covariance, "two_qubit_effective_cm")
+    bcm_calls = count_calls(monkeypatch, covariance, "build_block_cm")
+    rho = states.random_density(4, rng=np.random.default_rng(116))
+    run_all(rho, (2, 2))
+    assert (len(cm_calls), len(bcm_calls)) == (1, 1)
+
+
+def test_sdp_cm_is_that_of_the_noise_mixed_state(monkeypatch):
+    """On a rank-1 two-qubit state the SDP solves on the 1e-9 noise mixture,
+    and the effective CM it reads is the mixture's."""
+    seen = []
+    original = covariance.two_qubit_effective_cm
+
+    def spy(state):
+        seen.append(state)
+        return original(state)
+
+    monkeypatch.setattr(covariance, "two_qubit_effective_cm", spy)
+    pure = states.random_density(4, rank=1, rng=np.random.default_rng(117))
+    v = cmc_sdp_2q(pure)
+    assert v.details["noise_eps"] == filtering.DEFAULT_NOISE_EPS == 1e-9
+    [state] = seen
+    mix = (1 - 1e-9) * matlin.hermitize(pure) + 1e-9 * np.eye(4) / 4
+    np.testing.assert_array_equal(state.rho, mix)
+    assert v.details["witness_value"] == float(
+        np.tensordot(original(mix), v.details["witness_z1"], axes=2))
 
 
 # per state, keyed by (dA, dB) at full rank and (dA, dB, rank) below it:

@@ -7,16 +7,26 @@ from cmcsep import observables as obs
 from cmcsep.matlin import MatrixError
 
 
+def overlaps(basis):
+    """Hilbert-Schmidt overlaps tr(M_i M_j)."""
+    return np.real(np.einsum("iab,jba->ij", basis.ops, basis.ops))
+
+
+def op_traces(basis):
+    """Traces tr(M_i), real for Hermitian elements."""
+    return np.real(np.einsum("iaa->i", basis.ops))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_standard_basis_gram(d):
     basis = obs.standard_basis(d)
     assert len(basis) == d * d
-    np.testing.assert_allclose(basis.gram(), np.eye(d * d), atol=1e-12)
+    np.testing.assert_allclose(overlaps(basis), np.eye(d * d), atol=1e-12)
 
 
 def test_standard_basis_traceless_except_projectors():
     basis = obs.standard_basis(4)
-    traces = basis.traces()
+    traces = op_traces(basis)
     np.testing.assert_allclose(traces[:4], 1.0, atol=1e-14)
     np.testing.assert_allclose(traces[4:], 0.0, atol=1e-14)
     herm = np.max(np.abs(basis.ops - basis.ops.conj().transpose(0, 2, 1)))
@@ -30,9 +40,9 @@ def test_standard_basis_rejects_d1():
 
 def test_pauli_basis_exact():
     basis = obs.pauli_basis()
-    np.testing.assert_allclose(basis.gram(), np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(overlaps(basis), np.eye(4), atol=1e-14)
     np.testing.assert_allclose(basis.ops[0], np.eye(2) / np.sqrt(2), atol=1e-15)
-    assert abs(basis.traces()[0] - np.sqrt(2)) < 1e-14
+    assert abs(op_traces(basis)[0] - np.sqrt(2)) < 1e-14
 
 
 def test_pauli_commutator():
@@ -54,14 +64,14 @@ def test_gellmann_matches_pauli_for_qubits():
 
 def test_gellmann_traceless_and_orthonormal():
     basis = obs.gellmann_like_basis(3)
-    np.testing.assert_allclose(basis.gram(), np.eye(9), atol=1e-12)
-    np.testing.assert_allclose(basis.traces()[1:], 0.0, atol=1e-14)
+    np.testing.assert_allclose(overlaps(basis), np.eye(9), atol=1e-12)
+    np.testing.assert_allclose(op_traces(basis)[1:], 0.0, atol=1e-14)
 
 
 def test_weyl_parity_basis_orthonormal():
     basis = obs.weyl_parity_basis(3)
     assert len(basis) == 9
-    np.testing.assert_allclose(basis.gram(), np.eye(9), atol=1e-12)
+    np.testing.assert_allclose(overlaps(basis), np.eye(9), atol=1e-12)
 
 
 def test_weyl_parity_reflection_action():

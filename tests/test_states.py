@@ -114,6 +114,14 @@ def test_random_density_properties():
         random_density(4, rank=9, rng=rng)
 
 
+def test_random_generators_need_an_explicit_rng():
+    """No generator falls back to an unseeded stream."""
+    with pytest.raises(TypeError, match="rng"):
+        random_density(4)
+    with pytest.raises(TypeError, match="rng"):
+        random_separable(2, 2)
+
+
 def test_random_separable_never_ppt_detected():
     for i in range(30):
         rng = np.random.default_rng([302, i])
