@@ -2,7 +2,6 @@
 
 from .covariance import (
     BlockCovarianceMatrix,
-    CovarianceMatrix,
     bloch_invert,
     build_block_cm,
     build_cm,

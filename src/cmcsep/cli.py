@@ -45,9 +45,9 @@ def _spellings(spec: str) -> list[str]:
     return spellings
 
 
-def load_statefile(path: str) -> tuple[CheckedState, tuple[int, int], dict]:
-    """Parse a JSON state file into (state, dims, metadata); the state is
-    checked here, so no later layer checks or diagonalizes it again."""
+def load_statefile(path: str) -> CheckedState:
+    """Parse a JSON state file into its state, checked here, so no later
+    layer checks or diagonalizes it again."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -76,7 +76,7 @@ def load_statefile(path: str) -> tuple[CheckedState, tuple[int, int], dict]:
                                      (dims[0], dims[1]))
     except (ValueError, TypeError, MatrixError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return st, st.dims, doc.get("metadata", {})
+    return st
 
 
 def write_statefile(path: str, rho: np.ndarray, dims: tuple[int, int],
@@ -113,7 +113,8 @@ def _worker_count() -> int:
 
 
 def cmd_detect(args) -> int:
-    st, dims, _ = load_statefile(args.statefile)
+    st = load_statefile(args.statefile)
+    dims = st.dims
     wanted = (None if args.criteria == "all"
               else [criteria.CRITERIA[x] for x in _spellings(args.criteria)])
     verdicts = criteria.run_all(st, dims, criteria=wanted)
@@ -123,9 +124,10 @@ def cmd_detect(args) -> int:
         from .observables import make_basis
 
         try:
-            bcm = build_block_cm(st, make_basis(args.basis, dims[0]),
-                                 make_basis(args.basis, dims[1]),
-                                 kind="symmetric")
+            # the Gell-Mann one is the state's shared CM, which run_all built
+            bcm = st.block_cm if args.basis == "gellmann" else build_block_cm(
+                st, make_basis(args.basis, dims[0]),
+                make_basis(args.basis, dims[1]), kind="symmetric")
         except MatrixError as exc:
             raise InputError(f"cannot build CM in basis {args.basis!r}: {exc}")
         doc = {"verdicts": doc, "block_cm": cm_to_json(bcm)}
@@ -134,8 +136,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    st, dims, _ = load_statefile(args.statefile)
-    if dims != (2, 2):
+    st = load_statefile(args.statefile)
+    if st.dims != (2, 2):
         raise InputError("the witness command needs a two-qubit state")
     verdict = criteria.cmc_sdp_2q(st)
     if verdict.status != "ok":
@@ -152,8 +154,8 @@ def cmd_normal_form(args) -> int:
         raise InputError("--max-iter must be non-negative")
     if not 0.0 <= args.noise_eps <= 1.0:
         raise InputError(f"--noise-eps {args.noise_eps} outside [0, 1]")
-    st, dims, _ = load_statefile(args.statefile)
-    nf = filtering.normal_form(st, dims, tol=args.tol, max_iter=args.max_iter,
+    st = load_statefile(args.statefile)
+    nf = filtering.normal_form(st, st.dims, tol=args.tol, max_iter=args.max_iter,
                                noise_eps=args.noise_eps)
     doc = {
         "xi": nf.xi,
@@ -164,7 +166,7 @@ def cmd_normal_form(args) -> int:
         "f_value": nf.f_value,
         "iterations": nf.iterations,
         "noise_eps": nf.noise_eps,
-        "dims": nf.dims,
+        "dims": st.dims,
         "schedule": "damped Newton, block-CM Hessian",
     }
     _emit(json_safe(doc), args.output)
@@ -241,6 +243,8 @@ def _threshold_eval(family: str, crit_name: str, p: float) -> bool:
     else:
         raise InputError(f"threshold scan supports upb and werner, not {family!r}")
     verdicts = criteria.run_all(rho, dims, criteria=[criteria.CRITERIA[crit_name]])
+    if not verdicts:
+        raise InputError(f"{crit_name} gives no verdict on {family} states")
     return any(v.detected for v in verdicts)
 
 
@@ -370,9 +374,10 @@ def fig1_scan(grid_step: float):
     grid = np.arange(0.0, 1.0 + 0.5 * grid_step, grid_step)
     for eps in grid:
         for r in grid:
-            if not states.rho_epsilon_valid(eps, r, FIG1_S, FIG1_T):
+            try:
+                rho = states.rho_epsilon(eps, r, FIG1_S, FIG1_T)
+            except MatrixError:
                 continue
-            rho = states.rho_epsilon(eps, r, FIG1_S, FIG1_T)
             inv, wmin = bloch_invert(rho, side="A")
             if wmin < -1e-12:
                 region = "NotAState"

@@ -17,20 +17,6 @@ PSD_FLOOR = -1e-9
 
 
 @dataclass(frozen=True)
-class CovarianceMatrix:
-    """Covariance matrix of a full observable basis on one system.
-
-    ``kind`` is ``symmetric`` (real, anticommutator convention) or
-    ``nonsymmetric`` (complex Hermitian, operator-ordered).
-    """
-
-    kind: str
-    matrix: np.ndarray = field(repr=False)
-    basis: ObservableBasis = field(repr=False)
-    first_moments: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class BlockCovarianceMatrix:
     """Covariance matrix over {A_k x 1, 1 x B_k}, stored by blocks.
 
@@ -91,7 +77,7 @@ def _check_cm_psd(matrix: np.ndarray, what: str) -> None:
         )
 
 
-def build_cm(rho, basis: ObservableBasis, kind: str = "symmetric") -> CovarianceMatrix:
+def build_cm(rho, basis: ObservableBasis, kind: str = "symmetric") -> np.ndarray:
     """Covariance matrix gamma_ij = <M_i M_j> - <M_i><M_j> of ``rho``.
 
     The symmetric kind replaces the first term by the anticommutator mean
@@ -101,12 +87,14 @@ def build_cm(rho, basis: ObservableBasis, kind: str = "symmetric") -> Covariance
     d = basis.dim
     if r.shape != (d, d):
         raise MatrixError(f"state shape {r.shape} does not match basis dim {d}")
-    cm = _cm(r, basis, kind)
-    _check_cm_psd(cm.matrix, f"{kind} covariance matrix")
+    cm, _ = _cm(r, basis, kind)
+    _check_cm_psd(cm, f"{kind} covariance matrix")
     return cm
 
 
-def _cm(r: np.ndarray, basis: ObservableBasis, kind: str) -> CovarianceMatrix:
+def _cm(r: np.ndarray, basis: ObservableBasis,
+        kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance matrix of ``r`` and its first moments, unchecked."""
     g = second_moments(r, basis.ops)
     m = first_moments(r, basis.ops)
     if kind == "symmetric":
@@ -115,7 +103,7 @@ def _cm(r: np.ndarray, basis: ObservableBasis, kind: str) -> CovarianceMatrix:
         cm = g - np.outer(m, m).astype(complex)
     else:
         raise MatrixError(f"kind must be 'symmetric' or 'nonsymmetric', got {kind!r}")
-    return CovarianceMatrix(kind=kind, matrix=cm, basis=basis, first_moments=m)
+    return cm, m
 
 
 def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
@@ -126,17 +114,16 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
     # marginals of an exactly Hermitian matrix are exactly Hermitian
     rho_a = matlin.partial_trace(r, (da, db), keep="A")
     rho_b = matlin.partial_trace(r, (da, db), keep="B")
-    cm_a = _cm(rho_a, basis_a, kind)
-    cm_b = _cm(rho_b, basis_b, kind)
+    cm_a, m_a = _cm(rho_a, basis_a, kind)
+    cm_b, m_b = _cm(rho_b, basis_b, kind)
     joint = matlin.joint_moments(r, basis_a.ops, basis_b.ops)
-    c = joint - np.outer(cm_a.first_moments, cm_b.first_moments)
+    c = joint - np.outer(m_a, m_b)
     bcm = BlockCovarianceMatrix(
-        kind=kind, a=cm_a.matrix, b=cm_b.matrix, c=c,
+        kind=kind, a=cm_a, b=cm_b, c=c,
         basis_a=basis_a, basis_b=basis_b,
         purity_a=float(np.real(np.trace(rho_a @ rho_a))),
         purity_b=float(np.real(np.trace(rho_b @ rho_b))),
-        moments_a=cm_a.first_moments, moments_b=cm_b.first_moments,
-        joint=joint,
+        moments_a=m_a, moments_b=m_b, joint=joint,
     )
     # the marginal CMs are principal submatrices, so by eigenvalue
     # interlacing this one check also covers both of them
@@ -156,8 +143,8 @@ def concavity_check(rhos, probs, basis: ObservableBasis) -> float:
     if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
         raise MatrixError("weights must form a probability distribution")
     mixture = sum(p * as_matrix(r) for p, r in zip(probs, rhos))
-    gamma_mix = build_cm(mixture, basis, "nonsymmetric").matrix
-    gamma_avg = sum(p * build_cm(r, basis, "nonsymmetric").matrix
+    gamma_mix = build_cm(mixture, basis, "nonsymmetric")
+    gamma_avg = sum(p * build_cm(r, basis, "nonsymmetric")
                     for p, r in zip(probs, rhos))
     diff = gamma_mix - gamma_avg
     return float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])

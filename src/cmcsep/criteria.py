@@ -321,7 +321,6 @@ def cmc_sdp_2q(rho, max_iter: int = sdpsolve.DEFAULT_MAX_ITER) -> CriterionVerdi
             eps_margin=SDP_EPS_MARGIN, status="undetermined")
     lam_star = float(sol.x[0])
     z1 = sol.z_blocks[0]
-    z1 = (z1 + z1.T) / 2
     ops_a, ops_b = extract_lur_from_witness(z1)
     details = {
         "lambda_star": lam_star,

@@ -47,7 +47,6 @@ class NormalForm:
     iterations: int
     f_history: np.ndarray = field(repr=False)
     noise_eps: float = 0.0
-    dims: tuple[int, int] = (0, 0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -163,7 +162,6 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
         iterations=steps,
         f_history=np.array(history),
         noise_eps=applied_eps,
-        dims=(da, db),
     )
 
 

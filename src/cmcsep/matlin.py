@@ -115,18 +115,12 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     raise MatrixError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def partial_transpose(rho, dims: tuple[int, int], side: str = "B") -> np.ndarray:
-    """Transpose one tensor factor; an involution that preserves trace and
-    Hermiticity."""
+def partial_transpose(rho, dims: tuple[int, int]) -> np.ndarray:
+    """Transpose the B factor; an involution that preserves trace and
+    Hermiticity.  The transpose over A is the transpose of this one."""
     a = as_matrix(rho)
     da, db = _check_bipartite(a, dims)
-    r = a.reshape(da, db, da, db)
-    if side == "B":
-        out = r.transpose(0, 3, 2, 1)
-    elif side == "A":
-        out = r.transpose(2, 1, 0, 3)
-    else:
-        raise MatrixError(f"side must be 'A' or 'B', got {side!r}")
+    out = a.reshape(da, db, da, db).transpose(0, 3, 2, 1)
     return np.ascontiguousarray(out.reshape(da * db, da * db))
 
 
@@ -214,7 +208,7 @@ class CheckedState:
     def pt_min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the partial transpose over B.  It permutes
         the entries of an exactly Hermitian matrix, so it is one too."""
-        pt = partial_transpose(self.rho, self.dims, side="B")
+        pt = partial_transpose(self.rho, self.dims)
         return float(np.linalg.eigvalsh(pt)[0])
 
     @functools.cached_property

@@ -44,10 +44,29 @@ def _read_only(ops: list) -> np.ndarray:
     return arr
 
 
+def _pairs(d: int, upper: complex) -> list:
+    """(|i><j|+|j><i|)/sqrt2, then (upper |i><j| - upper |j><i|)/sqrt2, each
+    family in lexicographic (i, j) order."""
+    sym, anti = [], []
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1 / np.sqrt(2)
+            sym.append(m)
+            # -upper, not its conjugate: the literal -1j has a real part of
+            # -0.0, which conj(1j) does not
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = upper / np.sqrt(2)
+            m[j, i] = -upper / np.sqrt(2)
+            anti.append(m)
+    return sym + anti
+
+
 @functools.lru_cache(maxsize=32)
 def standard_basis(d: int) -> ObservableBasis:
     """Projectors |i><i|, then (|i><j|+|j><i|)/sqrt2, then the imaginary
-    antisymmetric pairs, each family in lexicographic (i, j) order.
+    antisymmetric pairs i(|i><j|-|j><i|)/sqrt2, each family in
+    lexicographic (i, j) order.
 
     Cached per d; the returned ``ops`` array is read-only."""
     if d < 2:
@@ -57,17 +76,7 @@ def standard_basis(d: int) -> ObservableBasis:
         m = np.zeros((d, d), dtype=complex)
         m[i, i] = 1.0
         ops.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1 / np.sqrt(2)
-            ops.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1j / np.sqrt(2)
-            m[j, i] = -1j / np.sqrt(2)
-            ops.append(m)
+    ops += _pairs(d, 1j)
     return ObservableBasis(dim=d, ops=_read_only(ops), kind="standard")
 
 
@@ -81,11 +90,11 @@ PAULI = {
 
 @functools.lru_cache(maxsize=1)
 def pauli_basis() -> ObservableBasis:
-    """{1, sigma_x, sigma_y, sigma_z} / sqrt(2), in that order.
+    """{1, sigma_x, sigma_y, sigma_z} / sqrt(2), in that order: the
+    Gell-Mann-like basis for d = 2.
 
     Cached; the returned ``ops`` array is read-only."""
-    ops = [PAULI[k] / np.sqrt(2) for k in "IXYZ"]
-    return ObservableBasis(dim=2, ops=_read_only(ops), kind="pauli")
+    return ObservableBasis(dim=2, ops=gellmann_like_basis(2).ops, kind="pauli")
 
 
 @functools.lru_cache(maxsize=32)
@@ -96,19 +105,8 @@ def gellmann_like_basis(d: int) -> ObservableBasis:
     Cached per d; the returned ``ops`` array is read-only."""
     if d < 2:
         raise MatrixError(f"basis needs d >= 2, got {d}")
-    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1 / np.sqrt(2)
-            ops.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            # sign convention of the Gell-Mann matrices (sigma_y for d = 2)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j / np.sqrt(2)
-            m[j, i] = 1j / np.sqrt(2)
-            ops.append(m)
+    # sign convention of the Gell-Mann matrices (sigma_y for d = 2)
+    ops = [np.eye(d, dtype=complex) / np.sqrt(d)] + _pairs(d, -1j)
     for l in range(1, d):
         diag = np.zeros(d)
         diag[:l] = 1.0

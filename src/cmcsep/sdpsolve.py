@@ -105,10 +105,9 @@ def _max_step(f: np.ndarray, d: np.ndarray) -> float:
     return min(1.0, _STEP_FRACTION / -wmin) if wmin < 0 else 1.0
 
 
-def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
+def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Run the interior-point iteration until the duality gap and both
-    feasibility residuals drop below ``tol``.
+    feasibility residuals drop below ``DEFAULT_TOL``.
 
     A run that stalls or exhausts ``max_iter`` returns its best iterate
     with status ``max_iter``.
@@ -173,7 +172,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
             since_best = 0
         else:
             since_best += 1
-        if metric <= tol:
+        if metric <= DEFAULT_TOL:
             status = "optimal"
             break
         if mu < 1e-13 * scale or since_best >= 30:
@@ -224,7 +223,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-6)) if mu > 0 else 0.1
         # keep mu above what the gap tolerance needs; driving it further
         # amplifies the Schur system and erodes dual feasibility
-        mu_floor = 0.1 * tol * scale / ntot
+        mu_floor = 0.1 * DEFAULT_TOL * scale / ntot
         dx, ds, dz = direction(max(sigma * mu, mu_floor), corr=ds_a @ dz_a)
         ap, ad = steps(ds, dz)
         if min(ap, ad) < 0.05:

@@ -93,7 +93,9 @@ def upb_tiles(p: float) -> np.ndarray:
     return p * rho_be + (1.0 - p) * np.eye(9) / 9.0
 
 
-def _rho_epsilon_matrix(eps: float, r: float, s: float, t: float) -> np.ndarray:
+def rho_epsilon(eps: float, r: float, s: float, t: float) -> np.ndarray:
+    """Two-block two-qubit family whose Bloch-inverted partner can change
+    separability class; rejected when the parameters leave the state cone."""
     block = np.array([
         [1 + r, 0, 0, t],
         [0, 0, 0, 0],
@@ -102,23 +104,11 @@ def _rho_epsilon_matrix(eps: float, r: float, s: float, t: float) -> np.ndarray:
     ], dtype=float)
     rest = np.zeros((4, 4))
     rest[1, 1] = 1.0
-    return (eps / 2.0) * block + (1.0 - eps) * rest
-
-
-def rho_epsilon(eps: float, r: float, s: float, t: float) -> np.ndarray:
-    """Two-block two-qubit family whose Bloch-inverted partner can change
-    separability class; rejected when the parameters leave the state cone."""
-    rho = _rho_epsilon_matrix(eps, r, s, t)
+    rho = (eps / 2.0) * block + (1.0 - eps) * rest
     wmin = float(np.linalg.eigvalsh(rho)[0])
     if wmin < -PSD_CLIP:
         raise MatrixError(f"rho_epsilon parameters give eigenvalue {wmin:.3e} < 0")
     return _normalize_psd(rho.astype(complex))
-
-
-def rho_epsilon_valid(eps: float, r: float, s: float, t: float) -> bool:
-    """True when the rho_epsilon parameters yield a positive semidefinite
-    unit-trace matrix."""
-    return float(np.linalg.eigvalsh(_rho_epsilon_matrix(eps, r, s, t))[0]) >= -PSD_CLIP
 
 
 def random_density(d: int, rank: int | None = None, *,

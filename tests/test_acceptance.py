@@ -201,7 +201,7 @@ def test_acceptance_6_structural_invariants():
         cm = covariance.build_cm(rho, standard_basis(d), kind="nonsymmetric")
         purity = float(np.real(np.trace(rho @ rho)))
         max_trace_dev = max(max_trace_dev,
-                            abs(np.real(np.trace(cm.matrix)) - (d - purity)))
+                            abs(np.real(np.trace(cm)) - (d - purity)))
 
     max_idem = 0.0
     for _ in range(50):
@@ -209,8 +209,7 @@ def test_acceptance_6_structural_invariants():
         v /= np.linalg.norm(v)
         cm = covariance.build_cm(np.outer(v, v.conj()), standard_basis(4),
                                  kind="nonsymmetric")
-        max_idem = max(max_idem, float(
-            np.linalg.norm(cm.matrix @ cm.matrix - cm.matrix)))
+        max_idem = max(max_idem, float(np.linalg.norm(cm @ cm - cm)))
 
     min_concavity = np.inf
     for _ in range(1000):

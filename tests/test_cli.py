@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from cmcsep import cli, filtering, states
+from cmcsep import cli, covariance, filtering, states
 from cmcsep.cli import (_worker_count, bisect_threshold, load_statefile, main,
                         run_benchmark, write_statefile)
 from cmcsep.matlin import MatrixError
@@ -98,9 +98,9 @@ def test_statefile_roundtrip(tmp_path):
     rho = states.random_density(6, rng=rng)
     path = tmp_path / "state.json"
     write_statefile(str(path), rho, (2, 3), {"family": "random"})
-    back, dims, meta = load_statefile(str(path))
-    assert dims == (2, 3)
-    assert meta["family"] == "random"
+    back = load_statefile(str(path))
+    assert back.dims == (2, 3)
+    assert json.loads(path.read_text())["metadata"] == {"family": "random"}
     np.testing.assert_allclose(back.rho, rho, atol=1e-15)
 
 
@@ -141,8 +141,7 @@ def test_gen_families(tmp_path):
     for argv, dims in cases:
         path = tmp_path / f"{'-'.join(argv[2:4])}.json"
         assert run_cli(argv + ["-o", str(path)]) == 0
-        rho, got_dims, _ = load_statefile(str(path))
-        assert got_dims == dims
+        assert load_statefile(str(path)).dims == dims
 
 
 def test_witness_command(tmp_path, capsys):
@@ -180,6 +179,13 @@ def test_threshold_requires_bracket():
 
     with pytest.raises(InputError):
         bisect_threshold("werner", "ppt", 0.5, 1.0)  # detected at both ends
+
+
+def test_threshold_without_verdict_is_input_error(capsys):
+    """A criterion that does not apply to the family is rejected as such,
+    not reported as an unbracketed detection."""
+    assert run_cli(["threshold", "--family", "upb", "--criterion", "cmc-sdp"]) == 2
+    assert "cmc-sdp gives no verdict on upb states" in capsys.readouterr().err
 
 
 def test_benchmark_zero_samples(tmp_path, capsys):
@@ -307,6 +313,26 @@ def test_detect_with_cm_export(tmp_path, capsys):
     assert cm["basis"] == ["pauli", "pauli"]
     assert np.asarray(cm["matrix"]).shape == (8, 8)
     assert abs(cm["purity"]["a"] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("basis, builds", [("gellmann", 1), ("standard", 2)])
+def test_detect_basis_builds_block_cm(tmp_path, capsys, monkeypatch, basis,
+                                      builds):
+    """detect --basis gellmann exports the block CM the criteria shared;
+    another basis needs a CM of its own."""
+    path = tmp_path / "w.json"
+    write_statefile(str(path), states.werner_2q(0.5), (2, 2))
+    built = []
+    build = covariance.build_block_cm
+
+    def counted(*args, **kwargs):
+        built.append(args[1].kind)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(covariance, "build_block_cm", counted)
+    assert run_cli(["detect", str(path), "--basis", basis]) == 0
+    assert json.loads(capsys.readouterr().out)["block_cm"]["basis"] == [basis] * 2
+    assert len(built) == builds
 
 
 def test_detect_cm_export_pauli_needs_qubits(tmp_path, capsys):

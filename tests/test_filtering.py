@@ -141,7 +141,6 @@ def reference_newton_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
         iterations=steps,
         f_history=np.array(history),
         noise_eps=applied_eps,
-        dims=(da, db),
     )
 
 

@@ -125,3 +125,69 @@ def test_pauli_basis_is_shared_and_read_only():
         basis.ops[1, 0, 1] = 2.0
     np.testing.assert_array_equal(basis.ops, obs.pauli_basis.__wrapped__().ops)
     np.testing.assert_array_equal(basis.ops, obs.gellmann_like_basis(2).ops)
+
+
+def reference_standard_ops(d):
+    """The standard basis as explicit per-family loops."""
+    ops = []
+    for i in range(d):
+        m = np.zeros((d, d), dtype=complex)
+        m[i, i] = 1.0
+        ops.append(m)
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1 / np.sqrt(2)
+            ops.append(m)
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = 1j / np.sqrt(2)
+            m[j, i] = -1j / np.sqrt(2)
+            ops.append(m)
+    return np.array(ops)
+
+
+def reference_gellmann_ops(d):
+    """The Gell-Mann-like basis as explicit per-family loops."""
+    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1 / np.sqrt(2)
+            ops.append(m)
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = -1j / np.sqrt(2)
+            m[j, i] = 1j / np.sqrt(2)
+            ops.append(m)
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l] = 1.0
+        diag[l] = -l
+        ops.append(np.diag(diag).astype(complex) / np.sqrt(l * (l + 1)))
+    return np.array(ops)
+
+
+def bits(ops):
+    """The raw float bits of a complex stack, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(ops).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_bases_match_explicit_loops_bit_for_bit(d):
+    """The shared pair builder reproduces the per-family loops, signed
+    zeros included."""
+    np.testing.assert_array_equal(bits(obs.standard_basis(d).ops),
+                                  bits(reference_standard_ops(d)))
+    np.testing.assert_array_equal(bits(obs.gellmann_like_basis(d).ops),
+                                  bits(reference_gellmann_ops(d)))
+
+
+def test_pauli_basis_matches_pauli_matrices_bit_for_bit():
+    """{1, X, Y, Z}/sqrt2 from the literal Pauli matrices, whose -1j entry
+    has a real part of -0.0."""
+    ref = np.array([obs.PAULI[k] / np.sqrt(2) for k in "IXYZ"])
+    assert np.signbit(ref[2, 0, 1].real)
+    np.testing.assert_array_equal(bits(obs.pauli_basis().ops), bits(ref))

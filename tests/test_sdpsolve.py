@@ -251,7 +251,7 @@ def test_weak_duality_and_dual_feasibility():
 def test_complementary_slackness():
     prob = SdpProblem(c=np.array([1.0]), f0_blocks=[np.diag([-2.0, -1.0])],
                       fi_blocks=[np.eye(2)[None, :, :]])
-    sol = solve(prob, tol=1e-8)
+    sol = solve(prob)
     prod = sol.s_blocks[0] @ sol.z_blocks[0]
     assert np.linalg.norm(prod) <= 10 * 1e-8 * 10  # scale slack on tiny blocks
 
@@ -329,7 +329,7 @@ def test_random_solves_reach_gap():
     for _ in range(30):
         rho = states.random_density(4, rng=rng)
         prob = _two_qubit_sdp_problem(two_qubit_effective_cm(rho))
-        sol = solve(prob, tol=1e-8)
+        sol = solve(prob)
         assert sol.status == "optimal"
         assert abs(sol.gap) <= 1e-8 * 1.5
         assert sol.primal_residual < 1e-7
@@ -381,7 +381,7 @@ def test_solver_matches_contraction_reference():
     tol, max_iter = sdpsolve.DEFAULT_TOL, sdpsolve.DEFAULT_MAX_ITER
     verdicts = set()
     for prob in _two_qubit_problems(60) + _small_problems():
-        new = solve(prob, tol, max_iter)
+        new = solve(prob, max_iter=max_iter)
         ref = reference_solve_core(prob, tol, max_iter)
         assert new.status == ref.status
         assert abs(new.x[0] - ref.x[0]) <= 1e-7
@@ -398,7 +398,7 @@ def test_early_iterates_match_contraction_reference(max_iter):
     """Before the end phase the trajectory is deterministic, so truncated
     runs must agree with the reference to rounding in x, S and Z."""
     for prob in _two_qubit_problems(6) + _small_problems():
-        new = solve(prob, sdpsolve.DEFAULT_TOL, max_iter)
+        new = solve(prob, max_iter=max_iter)
         ref = reference_solve_core(prob, sdpsolve.DEFAULT_TOL, max_iter)
         assert new.iterations == ref.iterations
         assert np.max(np.abs(new.x - ref.x)) <= 1e-11

@@ -94,7 +94,6 @@ def test_rho_epsilon_zero_is_projector():
 def test_rho_epsilon_rejects_invalid():
     with pytest.raises(MatrixError):
         rho_epsilon(1.0, 0.9, 0.45, 0.0625)  # s - r < 0
-    assert not states.rho_epsilon_valid(1.0, 0.9, 0.45, 0.0625)
 
 
 def test_rho_epsilon_grid_has_three_regions():
