@@ -188,7 +188,7 @@ def cmc_filter(rho, dims: tuple[int, int],
     """
     st = as_state(rho, dims).oriented
     da, db = st.dims
-    if (int(np.sum(st.eigenvalues > filtering.DEFAULT_NOISE_EPS)) <= db
+    if (int(np.sum(st.eigenvalues > matlin.DEFAULT_NOISE_EPS)) <= db
             and not ppt(st, st.dims).detected):
         r = st.rho
         xi = filtering.normal_form_coefficients(r / np.real(np.trace(r)), (da, db))
@@ -302,14 +302,14 @@ def cmc_sdp_2q(rho, max_iter: int = sdpsolve.DEFAULT_MAX_ITER) -> CriterionVerdi
     dual solution doubles as a CM-witness and yields violating local
     uncertainty observables for every detected state.
 
-    On a state with an eigenvalue below ``filtering.DEFAULT_NOISE_EPS``,
+    On a state with an eigenvalue below ``matlin.DEFAULT_NOISE_EPS``,
     such as a pure one, the solve can stall short of the gap tolerance, so
     that state is mixed with that much white noise first.  A detection of
     the mixture is one of the state, since mixing in noise keeps a
     separable state separable.  The witness and LUR values are those of the
     state solved on; ``details["noise_eps"]`` is the noise (0.0 when none).
     """
-    st, noise_eps = as_state(rho, (2, 2)).mixed(filtering.DEFAULT_NOISE_EPS)
+    st, noise_eps = as_state(rho, (2, 2)).mixed()
     gamma_eff = covariance.two_qubit_effective_cm(st)
     problem = _two_qubit_sdp_problem(gamma_eff)
     sol = sdpsolve.solve(problem, max_iter=max_iter)

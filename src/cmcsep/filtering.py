@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import MatrixError, as_state
+# DEFAULT_NOISE_EPS is matlin's, the noise the normal form reports
+from .matlin import DEFAULT_NOISE_EPS, MatrixError, as_state
 from .observables import gellmann_like_basis
 
 # Largest deviation of a reduced state from maximally mixed (max-abs entry
@@ -17,7 +18,6 @@ from .observables import gellmann_like_basis
 # guarantee on the emitted normal form.
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100
-DEFAULT_NOISE_EPS = 1e-9
 
 # Newton step: largest coefficient of a step in the max norm (a full step
 # can overflow exp far from the optimum), the Armijo constant, the rounding
@@ -83,9 +83,8 @@ def newton_system(r: np.ndarray, rows: np.ndarray,
     return grad, hess - grad[:, None] * grad
 
 
-def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
-                max_iter: int = DEFAULT_MAX_ITER,
-                noise_eps: float = DEFAULT_NOISE_EPS) -> NormalForm:
+def normal_form(rho, dims: tuple[int, int],
+                max_iter: int = DEFAULT_MAX_ITER) -> NormalForm:
     """Damped Newton minimization of log tr[(A x B) rho (A x B)^dagger] over
     A = exp(H_A/2), B = exp(H_B/2) with H traceless Hermitian.
 
@@ -93,13 +92,14 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     matrix as the Hessian, caps the step at ``STEP_CAP`` in the max norm and
     halves it until the Armijo condition holds, so the objective never
     increases.  The run has converged, by the definition of the normal form,
-    once every entry of both marginals is within ``tol`` of maximally mixed;
-    an input already there takes no step.  Rank-deficient inputs are mixed
-    with noise_eps of white noise first.  A state that exhausts ``max_iter``
+    once every entry of both marginals is within ``DEFAULT_TOL`` of
+    maximally mixed; an input already there takes no step.  Rank-deficient
+    inputs are mixed with ``DEFAULT_NOISE_EPS`` of white noise first (see
+    ``CheckedState.mixed``).  A state that exhausts ``max_iter``
     steps is returned with converged=False and the last iterate;
     downstream criteria stay valid, only weaker.
     """
-    st, applied_eps = as_state(rho, dims).mixed(noise_eps)
+    st, applied_eps = as_state(rho, dims).mixed()
     da, db = st.dims
     n = da * db
     r = st.rho / np.real(np.trace(st.rho))
@@ -115,8 +115,8 @@ def normal_form(rho, dims: tuple[int, int], tol: float = DEFAULT_TOL,
     while True:
         r4 = r.reshape(da, db, da, db)
         converged = bool(
-            np.abs(r4.trace(axis1=1, axis2=3) - eye_a).max() <= tol
-            and np.abs(r4.trace(axis1=0, axis2=2) - eye_b).max() <= tol)
+            np.abs(r4.trace(axis1=1, axis2=3) - eye_a).max() <= DEFAULT_TOL
+            and np.abs(r4.trace(axis1=0, axis2=2) - eye_b).max() <= DEFAULT_TOL)
         if converged or steps >= max_iter:
             break
         steps += 1

@@ -18,6 +18,9 @@ import numpy as np
 # symmetrized and handed to the eigensolver; density matrices arrive from
 # state files and generators with accumulated rounding.
 STATE_RTOL = 1e-10
+# White noise mixed into a state whose smallest eigenvalue is below it, by
+# CheckedState.mixed, before the filter and the two-qubit SDP run on it.
+DEFAULT_NOISE_EPS = 1e-9
 
 
 class MatrixError(ValueError):
@@ -194,15 +197,16 @@ class CheckedState:
         out.swapped = True
         return out
 
-    def mixed(self, noise_eps: float) -> tuple[CheckedState, float]:
+    def mixed(self) -> tuple[CheckedState, float]:
         """The state and 0.0 when its smallest eigenvalue is at least
-        ``noise_eps``; else (1 - noise_eps) rho + noise_eps 1/n, exactly
-        Hermitian and so not checked again, and ``noise_eps``."""
-        if self.eigenvalues[0] >= noise_eps:
+        eps = DEFAULT_NOISE_EPS; else (1 - eps) rho + eps 1/n, exactly
+        Hermitian and so not checked again, and eps."""
+        eps = DEFAULT_NOISE_EPS
+        if self.eigenvalues[0] >= eps:
             return self, 0.0
         n = self.rho.shape[0]
-        mix = (1.0 - noise_eps) * self.rho + noise_eps * np.eye(n) / n
-        return _checked(mix, self.dims), noise_eps
+        mix = (1.0 - eps) * self.rho + eps * np.eye(n) / n
+        return _checked(mix, self.dims), eps
 
     @functools.cached_property
     def pt_min_eigenvalue(self) -> float:

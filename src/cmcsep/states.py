@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matlin import CheckedState, MatrixError, as_state
+from .matlin import CheckedState, MatrixError, as_matrix, as_state
 
 # Eigenvalues in (-PSD_CLIP, 0) are treated as rounding and clipped; anything
 # more negative is a generator error.
@@ -29,12 +29,15 @@ def validate_density(rho, dims: tuple[int, int]) -> CheckedState:
     return st
 
 
-def _normalize_psd(mat: np.ndarray) -> np.ndarray:
-    """Clip tiny negative eigenvalues and normalize the trace to one."""
-    h = (mat + mat.conj().T) / 2
+def _normalize_psd(mat) -> np.ndarray:
+    """The generators' one check: reject a non-finite matrix or one with an
+    eigenvalue below -PSD_CLIP (relative), clip tiny negative eigenvalues
+    and normalize the trace to one."""
+    a = as_matrix(mat)
+    h = (a + a.conj().T) / 2
     w, v = np.linalg.eigh(h)
     if w[0] < -PSD_CLIP * max(1.0, abs(w[-1])):
-        raise MatrixError(f"generator produced eigenvalue {w[0]:.3e} < 0")
+        raise MatrixError(f"parameters give eigenvalue {w[0]:.3e} < 0")
     w = np.clip(w, 0.0, None)
     h = (v * w) @ v.conj().T
     return h / np.real(np.trace(h))
@@ -104,11 +107,7 @@ def rho_epsilon(eps: float, r: float, s: float, t: float) -> np.ndarray:
     ], dtype=float)
     rest = np.zeros((4, 4))
     rest[1, 1] = 1.0
-    rho = (eps / 2.0) * block + (1.0 - eps) * rest
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -PSD_CLIP:
-        raise MatrixError(f"rho_epsilon parameters give eigenvalue {wmin:.3e} < 0")
-    return _normalize_psd(rho.astype(complex))
+    return _normalize_psd((eps / 2.0) * block + (1.0 - eps) * rest)
 
 
 def random_density(d: int, rank: int | None = None, *,
@@ -189,8 +188,4 @@ def bell_diagonal(c1: float, c2: float, c3: float) -> np.ndarray:
     rho = np.eye(4, dtype=complex)
     for coeff, key in zip((c1, c2, c3), "XYZ"):
         rho += coeff * np.kron(PAULI[key], PAULI[key])
-    rho /= 4.0
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -PSD_CLIP:
-        raise MatrixError(f"Bell-diagonal coefficients give eigenvalue {wmin:.3e} < 0")
-    return _normalize_psd(rho)
+    return _normalize_psd(rho / 4.0)

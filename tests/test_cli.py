@@ -3,11 +3,13 @@
 import json
 import multiprocessing
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmcsep import cli, covariance, filtering, states
+from cmcsep import cli, covariance, filtering, matlin, states
 from cmcsep.cli import (_worker_count, bisect_threshold, load_statefile, main,
                         run_benchmark, write_statefile)
 from cmcsep.matlin import MatrixError
@@ -437,15 +439,54 @@ def test_gen_separable_needs_a_term(tmp_path, capsys):
 def test_normal_form_out_of_range_exit_code(tmp_path, capsys):
     path = tmp_path / "w.json"
     write_statefile(str(path), states.werner_2q(0.5), (2, 2))
-    for flags in (["--noise-eps", "2"], ["--noise-eps", "-0.1"],
-                  ["--tol", "nan"], ["--tol", "0"], ["--tol", "inf"],
-                  ["--max-iter", "-5"]):
-        assert run_cli(["normal-form", str(path), *flags]) == 2, flags
+    assert run_cli(["normal-form", str(path), "--max-iter", "-5"]) == 2
 
 
-def test_fig1_out_of_range_exit_code(capsys):
-    for step in ("-1", "0", "nan", "2"):
+def test_fig1_out_of_range_exit_code(capsys, monkeypatch):
+    """Steps outside [1e-3, 1] are rejected before any state is built; a
+    step of 1e-12 would ask for ~10^24 grid points."""
+    monkeypatch.setattr(states, "rho_epsilon", None)
+    for step in ("-1", "0", "nan", "2", "1e-12", "1e-4"):
         assert run_cli(["fig1", "--grid-step", step]) == 2, step
+        assert "outside [0.001, 1]" in capsys.readouterr().err
+
+
+def test_fig1_checks_each_state_once(monkeypatch):
+    """A grid point that reaches ppt checks rho_epsilon once, for
+    bloch_invert and ppt alike, and its inversion once; a point that is
+    not a state after inversion checks rho_epsilon only."""
+    calls = []
+    hermitize = matlin.hermitize
+    monkeypatch.setattr(matlin, "hermitize",
+                        lambda m: calls.append(1) or hermitize(m))
+    rows = cli.fig1_scan(0.25)
+    regions = [region for _, _, region in rows]
+    reached = len(regions) - regions.count("NotAState")
+    assert reached and regions.count("NotAState")
+    assert len(calls) == 2 * reached + regions.count("NotAState")
+
+
+def test_gen_rejects_non_finite_state(tmp_path, capsys):
+    """Parameters whose projectors overflow give a NaN matrix, which the
+    generator rejects instead of writing it."""
+    out = tmp_path / "s.json"
+    with pytest.warns(RuntimeWarning):
+        assert run_cli(["gen", "--family", "chessboard", "--params",
+                        "1e300,1,1,1,1,1", "-o", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    """Every cmcsep line of README's command-line block parses."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = block.split("```sh")[1].split("```")[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [words for words in lines if words[:1] == ["cmcsep"]]
+    assert len(lines) >= 7
+    for words in lines:
+        cli.build_parser().parse_args(words[1:])
 
 
 def test_benchmark_negative_seed_exit_code(capsys):

@@ -240,21 +240,23 @@ def test_normal_form_mixes_in_noise_for_rank_deficient_input():
     assert np.all(np.isfinite(nf.xi))
 
 
-def test_normal_form_singular_input_without_noise_raises():
+def test_normal_form_singular_input_without_noise_raises(monkeypatch):
     """With no noise mixed in, a pure product state has a singular Hessian,
     which is reported as a MatrixError."""
+    monkeypatch.setattr(matlin, "DEFAULT_NOISE_EPS", 0.0)
     rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(MatrixError, match="rank deficient"):
-        normal_form(rho, (2, 2), noise_eps=0.0)
+        normal_form(rho, (2, 2))
 
 
-def test_normal_form_speed_and_convergence():
+def test_normal_form_speed_and_convergence(monkeypatch):
     """Full-rank 3x3 states settle at tol 1e-10 well under a second."""
+    monkeypatch.setattr(filtering, "DEFAULT_TOL", 1e-10)
     rng = np.random.default_rng(80)
     for _ in range(5):
         rho = states.random_density(9, rng=rng)
         start = time.perf_counter()
-        nf = normal_form(rho, (3, 3), tol=1e-10)
+        nf = normal_form(rho, (3, 3))
         assert time.perf_counter() - start < 1.0
         assert nf.converged
 
@@ -338,17 +340,19 @@ def test_normal_form_input_takes_no_sweep(rho, dims):
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-11])
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
-def test_normal_form_stops_on_marginal_tolerance(dims, tol):
-    """tol bounds every entry of both marginals of the result off
-    maximally mixed; one Newton step is not enough to get there."""
+def test_normal_form_stops_on_marginal_tolerance(monkeypatch, dims, tol):
+    """DEFAULT_TOL, read at call time, bounds every entry of both marginals
+    of the result off maximally mixed; one Newton step is not enough to get
+    there."""
+    monkeypatch.setattr(filtering, "DEFAULT_TOL", tol)
     da, db = dims
     rng = np.random.default_rng([82, da, db])
     for _ in range(3):
         rho = states.random_density(da * db, rng=rng)
-        nf = normal_form(rho, dims, tol=tol)
+        nf = normal_form(rho, dims)
         assert nf.converged
         assert _marginal_deviation(nf.rho_tilde, dims) <= tol + 1e-15
-        one = normal_form(rho, dims, tol=tol, max_iter=1)
+        one = normal_form(rho, dims, max_iter=1)
         assert not one.converged
         assert _marginal_deviation(one.rho_tilde, dims) > tol
 

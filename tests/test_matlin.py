@@ -138,7 +138,8 @@ def test_partial_transpose_bell_eigenvalue():
     assert abs(np.linalg.eigvalsh(pt)[0] + 0.5) < 1e-12
 
 
-def test_partial_transpose_involution():
+def test_partial_transpose_involution(monkeypatch):
+    monkeypatch.setattr(matlin, "DEFAULT_NOISE_EPS", 0.5)
     rng = np.random.default_rng(21)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     twice = matlin.partial_transpose(matlin.partial_transpose(m, (2, 3)), (2, 3))
@@ -150,7 +151,7 @@ def test_partial_transpose_involution():
         for rank in (1, n):
             g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
             st = matlin.as_state(g @ g.conj().T / np.linalg.norm(g) ** 2, dims)
-            mixed, eps = st.mixed(0.5)
+            mixed, eps = st.mixed()
             assert eps == 0.5
             for s in (st, st._swap, mixed):
                 pt = matlin.partial_transpose(s.rho, s.dims)

@@ -96,6 +96,20 @@ def test_rho_epsilon_rejects_invalid():
         rho_epsilon(1.0, 0.9, 0.45, 0.0625)  # s - r < 0
 
 
+def test_rho_epsilon_diagonalizes_once(monkeypatch):
+    """The generator's one eigenvalue check is _normalize_psd's."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, f=original, **kw:
+                            calls.append(1) or f(a, **kw))
+    rho_epsilon(0.5, 0.2, 0.45, 0.0625)
+    assert len(calls) == 1
+    with pytest.raises(MatrixError, match="eigenvalue"):
+        rho_epsilon(1.0, 0.9, 0.45, 0.0625)
+    assert len(calls) == 2
+
+
 def test_rho_epsilon_grid_has_three_regions():
     from cmcsep.cli import fig1_scan
 
