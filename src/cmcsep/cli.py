@@ -33,6 +33,10 @@ PRESWEEP = 20
 FIG1_S, FIG1_T = 0.45, 1.0 / 16.0
 FIG1_MIN_STEP = 1e-3
 
+# Most terms gen draws for a separable state: the weights alone take 8 bytes
+# per term, drawn before the first term is built.
+MAX_SEPARABLE_TERMS = 10**6
+
 
 class InputError(Exception):
     """Bad command-line input or state file; maps to exit code 2."""
@@ -204,6 +208,9 @@ def _gen_state(args) -> tuple[np.ndarray, tuple[int, int], dict]:
         meta.update(seed=args.seed, rank=args.rank)
         return rho, (da, db), meta
     if family == "separable":
+        if args.terms > MAX_SEPARABLE_TERMS:
+            raise InputError(f"term count {args.terms} above the cap of "
+                             f"{MAX_SEPARABLE_TERMS}")
         da, db = _parse_dims(args.dims)
         rng = np.random.default_rng(args.seed)
         rho = states.random_separable(da, db, n_terms=args.terms, rng=rng)

@@ -190,8 +190,9 @@ def cmc_filter(rho, dims: tuple[int, int],
     da, db = st.dims
     if (int(np.sum(st.eigenvalues > matlin.DEFAULT_NOISE_EPS)) <= db
             and not ppt(st, st.dims).detected):
-        r = st.rho
-        xi = filtering.normal_form_coefficients(r / np.real(np.trace(r)), (da, db))
+        # the normal-form coefficients of rho / tr rho, from the shared CM
+        xi = (da * db * np.linalg.svd(st.block_cm.joint[1:, 1:], compute_uv=False)
+              / np.real(np.trace(st.rho)))
         total = float(np.sum(xi))
         bound = filter_xi_bound((da, db), converged=False)
         return CriterionVerdict(

@@ -227,7 +227,7 @@ class CheckedState:
 
     @functools.cached_property
     def schmidt(self):
-        """Operator Schmidt decomposition."""
+        """Operator Schmidt decomposition, the SVD of ``block_cm.joint``."""
         from . import schmidt
 
         return schmidt.operator_schmidt(self, *self.dims)

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matlin import as_state, joint_moments
-from .observables import standard_basis
+from .matlin import as_state
 
 
 @dataclass(frozen=True)
@@ -20,35 +19,23 @@ class SchmidtOperatorDecomposition:
     """
 
     lambdas: np.ndarray
-    ops_a: np.ndarray = field(repr=False)
-    ops_b: np.ndarray = field(repr=False)
     g_a: np.ndarray = field(repr=False)
     g_b: np.ndarray = field(repr=False)
 
-    def reconstruct(self) -> np.ndarray:
-        da = self.ops_a.shape[1]
-        db = self.ops_b.shape[1]
-        out = np.einsum("k,kab,kcd->acbd", self.lambdas, self.ops_a, self.ops_b,
-                        optimize=True)
-        return out.reshape(da * db, da * db)
-
 
 def operator_schmidt(rho, d_a: int, d_b: int) -> SchmidtOperatorDecomposition:
-    """Singular value decomposition of the operator-basis coefficient matrix.
+    """Singular value decomposition of the state's joint moments over the
+    Gell-Mann-like bases, read from its shared block CM.
 
     The coefficients lambda_k equal the singular values of the realignment of
-    rho; signs are absorbed into the B-side operators.
+    rho; signs are absorbed into the B-side operators.  Only each basis's
+    leading element 1/sqrt(d) has a trace, sqrt(d), so the operator traces
+    are the identity row of U and column of V, scaled by sqrt(d).
     """
-    r = as_state(rho, (d_a, d_b)).rho
-    basis_a = standard_basis(d_a)
-    basis_b = standard_basis(d_b)
-    xi = joint_moments(r, basis_a.ops, basis_b.ops)
+    xi = as_state(rho, (d_a, d_b)).block_cm.joint
     # full SVD: a reduced one picks other singular vectors, moving cmc_schmidt
     u, s, vt = np.linalg.svd(xi)
     k = len(s)
-    ops_a = np.einsum("ik,iab->kab", u[:, :k], basis_a.ops)
-    ops_b = np.einsum("jk,jab->kab", vt[:k].T, basis_b.ops)
-    g_a = np.real(np.einsum("kaa->k", ops_a))
-    g_b = np.real(np.einsum("kaa->k", ops_b))
-    return SchmidtOperatorDecomposition(lambdas=s, ops_a=ops_a, ops_b=ops_b,
-                                        g_a=g_a, g_b=g_b)
+    return SchmidtOperatorDecomposition(lambdas=s,
+                                        g_a=np.sqrt(d_a) * u[0, :k],
+                                        g_b=np.sqrt(d_b) * vt[:k, 0])

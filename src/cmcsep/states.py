@@ -61,11 +61,13 @@ def chessboard(m: float, n: float, a: float, b: float, c: float,
     """
     if abs(m) < 1e-12 or abs(n) < 1e-12:
         raise MatrixError("chessboard parameters m and n must be nonzero")
-    v1 = ket([m, 0, a * c / n, 0, n, 0, 0, 0, 0])
-    v2 = ket([0, a, 0, b, 0, c, 0, 0, 0])
-    v3 = ket([n, 0, 0, 0, -m, 0, a * dpar / m, 0, 0])
-    v4 = ket([0, b, 0, -a, 0, 0, 0, dpar, 0])
-    rho = sum(projector(v) for v in (v1, v2, v3, v4))
+    # an overflow gives inf or NaN entries, which _normalize_psd rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        v1 = ket([m, 0, a * c / n, 0, n, 0, 0, 0, 0])
+        v2 = ket([0, a, 0, b, 0, c, 0, 0, 0])
+        v3 = ket([n, 0, 0, 0, -m, 0, a * dpar / m, 0, 0])
+        v4 = ket([0, b, 0, -a, 0, 0, 0, dpar, 0])
+        rho = sum(projector(v) for v in (v1, v2, v3, v4))
     return _normalize_psd(rho)
 
 

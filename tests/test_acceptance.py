@@ -5,6 +5,7 @@ lines; the full suite takes on the order of ten minutes, dominated by the
 two 10^4-sample ensembles.  Worker count follows CMCSEP_THREADS.
 """
 
+import hashlib
 import multiprocessing
 import time
 
@@ -52,10 +53,17 @@ def test_acceptance_1_upb_thresholds():
 
 # ------------------------------------------------------- criteria 2 and 7
 
+# SHA-256 of the "index,label,detected" lines of the seeded ensemble: every
+# one of its 6 x 10^4 flags, frozen.
+BENCH_FLAG_DIGEST = "385bb64600a3419ab9884f5850919543974d68f60a3c00dfd2698b216c42bbe0"
+
+
 @pytest.fixture(scope="module")
 def chessboard_rows():
     rows, fractions = run_benchmark(BENCH_N, BENCH_SEED,
                                     list(BENCHMARK_CRITERIA))
+    flags = "".join(f"{i},{label},{int(hit)}\n" for i, label, _, hit in rows)
+    assert hashlib.sha256(flags.encode()).hexdigest() == BENCH_FLAG_DIGEST
     return rows, fractions
 
 

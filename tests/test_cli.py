@@ -412,13 +412,17 @@ def test_threshold_below_float_spacing_terminates():
     assert abs(p - 1 / 3) < 1e-8  # ppt flags above p = 1/3 + 4e-9/3
 
 
-def test_gen_out_of_range_exit_code(tmp_path, capsys):
+def test_gen_out_of_range_exit_code(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "s.json")
+    # a term count above the cap must be rejected before anything is drawn
+    monkeypatch.setattr(states, "random_separable", None)
     for flags in (["--family", "werner", "--p", "2"],
                   ["--family", "upb", "--p", "-1"],
                   ["--family", "random", "--rank", "0"],
                   ["--family", "chessboard", "--params", "0,1,1,1,1,1"],
-                  ["--family", "random", "--seed", "-1"]):
+                  ["--family", "random", "--seed", "-1"],
+                  ["--family", "separable", "--terms", "1000001"],
+                  ["--family", "separable", "--terms", "100000000"]):
         assert run_cli(["gen", *flags, "-o", out]) == 2, flags
         assert "numerical failure" not in capsys.readouterr().err
 
@@ -470,9 +474,10 @@ def test_gen_rejects_non_finite_state(tmp_path, capsys):
     """Parameters whose projectors overflow give a NaN matrix, which the
     generator rejects instead of writing it."""
     out = tmp_path / "s.json"
-    with pytest.warns(RuntimeWarning):
+    # the suite turns RuntimeWarning into an error, so none may be emitted
+    for params in ("1e300,1,1,1,1,1", "1,1,1e300,1,1e300,1"):
         assert run_cli(["gen", "--family", "chessboard", "--params",
-                        "1e300,1,1,1,1,1", "-o", str(out)]) == 2
+                        params, "-o", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 

@@ -522,10 +522,12 @@ def test_sdp_cm_is_that_of_the_noise_mixed_state(monkeypatch):
 # hermitize, build_block_cm, swap_subsystems and joint_moments calls.  The
 # SDP at (2, 2) checks its LUR state once more; on a rank-1 state it solves
 # on the noise-mixed state, which is not checked again but has its own
-# block CM.
-CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 4), (2, 3): (1, 1, 0, 3),
-                      (2, 5): (1, 1, 0, 3), (3, 2): (1, 1, 1, 3),
-                      (3, 3): (1, 1, 0, 3), (2, 2, 1): (2, 2, 0, 5)}
+# block CM.  The block CM's joint moments serve de Vicente and the operator
+# Schmidt decomposition; the filter's normal form and the LUR value take one
+# contraction each.
+CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 3), (2, 3): (1, 1, 0, 2),
+                      (2, 5): (1, 1, 0, 2), (3, 2): (1, 1, 1, 2),
+                      (3, 3): (1, 1, 0, 2), (2, 2, 1): (2, 2, 0, 4)}
 
 
 @pytest.mark.parametrize("dims", list(CHECKS_AND_ORIENTS))
@@ -545,6 +547,16 @@ def test_run_all_checks_and_orients_once(monkeypatch, dims):
             calls.clear()
         run_all(rho, dims[:2])
         assert tuple(map(len, counts)) == CHECKS_AND_ORIENTS[dims]
+
+
+def test_low_rank_ppt_state_contracts_once(monkeypatch):
+    """A PPT state of rank <= max(dA, dB) skips the filter, and every
+    criterion reads its joint moments from the one shared block CM."""
+    calls = count_calls(monkeypatch, matlin, "joint_moments")
+    rho = states.random_separable(3, 3, n_terms=2, rng=np.random.default_rng(118))
+    verdicts = run_all(rho, (3, 3))
+    assert verdicts[-1].details["separable_by"] == "low_rank_ppt"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])

@@ -1,6 +1,7 @@
 """Tests for the operator Schmidt decomposition."""
 
 import numpy as np
+import pytest
 
 from cmcsep import matlin, states
 from cmcsep.criteria import cmc_schmidt
@@ -45,30 +46,20 @@ def test_lambdas_match_realignment_singular_values():
                                    atol=1e-10)
 
 
-def test_operators_hermitian_and_orthonormal():
-    rng = np.random.default_rng(63)
-    rho = states.random_density(6, rng=rng)
-    dec = operator_schmidt(rho, 2, 3)
-    for ops in (dec.ops_a, dec.ops_b):
-        herm = np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)))
-        assert herm < 1e-10
-        gram = np.real(np.einsum("iab,jba->ij", ops, ops))
-        np.testing.assert_allclose(gram, np.eye(len(ops)), atol=1e-10)
-
-
-def test_reconstruction():
-    rng = np.random.default_rng(64)
-    rho = states.random_density(9, rng=rng)
-    dec = operator_schmidt(rho, 3, 3)
-    assert np.linalg.norm(dec.reconstruct() - rho) < 1e-10
-
-
-def test_swapped_sides_recorded():
-    rng = np.random.default_rng(65)
-    rho = states.random_density(6, rng=rng)
-    dec = operator_schmidt(rho, 3, 2)  # d_A > d_B: d_B^2 terms
-    assert dec.ops_a.shape[1] == 3 and dec.ops_b.shape[1] == 2
-    assert np.linalg.norm(dec.reconstruct() - rho) < 1e-10
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 2), (2, 5)])
+def test_trace_identities(dims):
+    """The operator traces reproduce tr rho and both marginal purities:
+    rho_A = sum l_k g_B,k G_k^A, and likewise for B, with orthonormal G."""
+    da, db = dims
+    rho = states.random_density(da * db, rng=np.random.default_rng([63, da, db]))
+    dec = operator_schmidt(rho, da, db)
+    lam, ga, gb = dec.lambdas, dec.g_a, dec.g_b
+    rho_a = matlin.partial_trace(rho, dims, keep="A")
+    rho_b = matlin.partial_trace(rho, dims, keep="B")
+    purity = lambda m: float(np.real(np.trace(m @ m)))
+    assert abs(np.sum(lam * ga * gb) - np.real(np.trace(rho))) <= 1e-12
+    assert abs(np.sum(lam**2 * gb**2) - purity(rho_a)) <= 1e-12
+    assert abs(np.sum(lam**2 * ga**2) - purity(rho_b)) <= 1e-12
 
 
 def test_degenerate_permutation_leaves_margin():
