@@ -36,6 +36,9 @@ FIG1_MIN_STEP = 1e-3
 # Most terms gen draws for a separable state: the weights alone take 8 bytes
 # per term, drawn before the first term is built.
 MAX_SEPARABLE_TERMS = 10**6
+# Largest dA dB gen draws a state for: a separable draw builds
+# states.SEPARABLE_CHUNK n x n terms at once, 64 MiB at n = 256.
+MAX_GEN_DIM = 256
 
 
 class InputError(Exception):
@@ -226,6 +229,8 @@ def _parse_dims(spec: str) -> tuple[int, int]:
         raise InputError(f"dims must look like '2,3', got {spec!r}") from None
     if da < 2 or db < 2:
         raise InputError("local dimensions must be at least 2")
+    if da * db > MAX_GEN_DIM:
+        raise InputError(f"dA dB = {da * db} is above the cap of {MAX_GEN_DIM}")
     return da, db
 
 

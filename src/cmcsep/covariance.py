@@ -108,15 +108,17 @@ def _cm(r: np.ndarray, basis: ObservableBasis,
 
 def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
                    kind: str = "symmetric") -> BlockCovarianceMatrix:
-    """Block covariance matrix of a bipartite state over local bases."""
+    """Block covariance matrix of a bipartite state over local bases; over
+    the Gell-Mann-like ones its ``joint`` is the state's ``joint``."""
     da, db = basis_a.dim, basis_b.dim
-    r = as_state(rho, (da, db)).rho
+    st = as_state(rho, (da, db))
     # marginals of an exactly Hermitian matrix are exactly Hermitian
-    rho_a = matlin.partial_trace(r, (da, db), keep="A")
-    rho_b = matlin.partial_trace(r, (da, db), keep="B")
+    rho_a = matlin.partial_trace(st.rho, (da, db), keep="A")
+    rho_b = matlin.partial_trace(st.rho, (da, db), keep="B")
     cm_a, m_a = _cm(rho_a, basis_a, kind)
     cm_b, m_b = _cm(rho_b, basis_b, kind)
-    joint = matlin.joint_moments(r, basis_a.ops, basis_b.ops)
+    joint = (st.joint if basis_a.kind == basis_b.kind == "gellmann"
+             else matlin.joint_moments(st.rho, basis_a.ops, basis_b.ops))
     c = joint - np.outer(m_a, m_b)
     bcm = BlockCovarianceMatrix(
         kind=kind, a=cm_a, b=cm_b, c=c,

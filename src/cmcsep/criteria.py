@@ -188,34 +188,28 @@ def cmc_filter(rho, dims: tuple[int, int],
     """
     st = as_state(rho, dims).oriented
     da, db = st.dims
-    if (int(np.sum(st.eigenvalues > matlin.DEFAULT_NOISE_EPS)) <= db
-            and not ppt(st, st.dims).detected):
-        # the normal-form coefficients of rho / tr rho, from the shared CM
+    low_rank_ppt = (int(np.sum(st.eigenvalues > matlin.DEFAULT_NOISE_EPS)) <= db
+                    and not ppt(st, st.dims).detected)
+    if low_rank_ppt:
+        # xi of rho / tr rho itself, its joint read through block_cm so that
+        # rho's CM is checked first
         xi = (da * db * np.linalg.svd(st.block_cm.joint[1:, 1:], compute_uv=False)
               / np.real(np.trace(st.rho)))
-        total = float(np.sum(xi))
-        bound = filter_xi_bound((da, db), converged=False)
-        return CriterionVerdict(
-            name="cmc_filter", detected=False, margin=total - bound,
-            details={"xi": xi, "xi_sum": total, "bound": bound,
-                     "converged": False, "iterations": 0, "noise_eps": 0.0,
-                     "separable_by": "low_rank_ppt", "swapped": st.swapped})
-    nf = filtering.normal_form(st, st.dims, max_iter=max_iter)
-    total = float(np.sum(nf.xi))
-    bound = filter_xi_bound((da, db), nf.converged)
-    details = {
-        "xi": nf.xi,
-        "xi_sum": total,
-        "bound": bound,
-        "converged": nf.converged,
-        "iterations": nf.iterations,
-        "noise_eps": nf.noise_eps,
-        "f_value": nf.f_value,
-        "filter_a": nf.filter_a,
-        "filter_b": nf.filter_b,
-        "swapped": st.swapped,
-    }
-    return _verdict("cmc_filter", total - bound, details)
+        run = {"converged": False, "iterations": 0, "noise_eps": 0.0,
+               "separable_by": "low_rank_ppt"}
+    else:
+        nf = filtering.normal_form(st, st.dims, max_iter=max_iter)
+        xi = nf.xi
+        run = {"converged": nf.converged, "iterations": nf.iterations,
+               "noise_eps": nf.noise_eps, "f_value": nf.f_value,
+               "filter_a": nf.filter_a, "filter_b": nf.filter_b}
+    total = float(np.sum(xi))
+    bound = filter_xi_bound((da, db), run["converged"])
+    return CriterionVerdict(
+        name="cmc_filter", margin=total - bound,
+        detected=not low_rank_ppt and total - bound > EPS_MARGIN,
+        details={"xi": xi, "xi_sum": total, "bound": bound, **run,
+                 "swapped": st.swapped})
 
 
 def _traceless_sym_basis_3() -> list[np.ndarray]:

@@ -32,16 +32,16 @@ MIN_STEP = 1e-12
 class NormalForm:
     """Filter normal form of a full-rank bipartite state.
 
-    rho_tilde = (F_A x F_B) rho (F_A x F_B)^dagger / norm with unit
-    determinant filters; ``xi`` holds the non-increasing correlation
-    coefficients over orthonormal traceless local observables, so the
-    separability thresholds downstream are exactly d^2 - d and friends.
+    ``state`` is rho_tilde = (F_A x F_B) rho (F_A x F_B)^dagger / norm with
+    unit determinant filters; ``xi`` holds the non-increasing coefficients
+    d_A d_B svd(state.joint[1:, 1:]) over traceless local observables, so
+    the separability thresholds downstream are exactly d^2 - d and friends.
     """
 
     xi: np.ndarray
     filter_a: np.ndarray = field(repr=False)
     filter_b: np.ndarray = field(repr=False)
-    rho_tilde: np.ndarray = field(repr=False)
+    state: matlin.CheckedState = field(repr=False)
     converged: bool
     f_value: float
     iterations: int
@@ -152,11 +152,13 @@ def normal_form(rho, dims: tuple[int, int],
         f_b = b @ f_b
         history.append(f_val)
 
+    # every iterate is exactly Hermitian: no second check
+    state = matlin._checked(r, (da, db))
     return NormalForm(
-        xi=normal_form_coefficients(r, (da, db)),
+        xi=da * db * np.linalg.svd(state.joint[1:, 1:], compute_uv=False),
         filter_a=f_a,
         filter_b=f_b,
-        rho_tilde=r,
+        state=state,
         converged=converged,
         f_value=f_val,
         iterations=steps,
@@ -164,12 +166,3 @@ def normal_form(rho, dims: tuple[int, int],
         noise_eps=applied_eps,
     )
 
-
-def normal_form_coefficients(rho_tilde: np.ndarray,
-                             dims: tuple[int, int]) -> np.ndarray:
-    """Singular values, scaled by d_A d_B, of the correlation matrix over
-    orthonormal traceless local observables."""
-    da, db = dims
-    xi_mat = matlin.joint_moments(rho_tilde, gellmann_like_basis(da).ops[1:],
-                                  gellmann_like_basis(db).ops[1:])
-    return da * db * np.linalg.svd(xi_mat, compute_uv=False)

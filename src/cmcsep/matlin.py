@@ -216,6 +216,16 @@ class CheckedState:
         return float(np.linalg.eigvalsh(pt)[0])
 
     @functools.cached_property
+    def joint(self) -> np.ndarray:
+        """Joint moments tr(rho (G_i x G_j)) over the Gell-Mann-like bases, the
+        one contraction ``block_cm`` reads; unlike it, not checked for a PSD CM."""
+        from . import observables
+
+        da, db = self.dims
+        return joint_moments(self.rho, observables.gellmann_like_basis(da).ops,
+                             observables.gellmann_like_basis(db).ops)
+
+    @functools.cached_property
     def block_cm(self):
         """Symmetric block CM over the Gell-Mann-like bases of both sides."""
         from . import covariance, observables

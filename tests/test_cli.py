@@ -425,6 +425,13 @@ def test_gen_out_of_range_exit_code(tmp_path, capsys, monkeypatch):
                   ["--family", "separable", "--terms", "100000000"]):
         assert run_cli(["gen", *flags, "-o", out]) == 2, flags
         assert "numerical failure" not in capsys.readouterr().err
+    # so must a dimension above the cap
+    monkeypatch.setattr(states, "random_density", None)
+    for family in ("random", "separable"):
+        for dims in ("17,16", "1000,1000"):
+            assert run_cli(["gen", "--family", family, "--dims", dims,
+                            "-o", out]) == 2, (family, dims)
+            assert "above the cap of 256" in capsys.readouterr().err
 
 
 def test_gen_separable_needs_a_term(tmp_path, capsys):

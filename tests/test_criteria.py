@@ -522,9 +522,10 @@ def test_sdp_cm_is_that_of_the_noise_mixed_state(monkeypatch):
 # hermitize, build_block_cm, swap_subsystems and joint_moments calls.  The
 # SDP at (2, 2) checks its LUR state once more; on a rank-1 state it solves
 # on the noise-mixed state, which is not checked again but has its own
-# block CM.  The block CM's joint moments serve de Vicente and the operator
-# Schmidt decomposition; the filter's normal form and the LUR value take one
-# contraction each.
+# block CM.  A state's one joint-moment contraction, its ``joint``, serves
+# its block CM, de Vicente and the operator Schmidt decomposition; the
+# filter's one contraction is the ``joint`` of the normal form rho~, which
+# builds no block CM, and the LUR value takes one more.
 CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 3), (2, 3): (1, 1, 0, 2),
                       (2, 5): (1, 1, 0, 2), (3, 2): (1, 1, 1, 2),
                       (3, 3): (1, 1, 0, 2), (2, 2, 1): (2, 2, 0, 4)}

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from cmcsep import filtering, matlin, states
+from cmcsep import covariance, filtering, matlin, states
 from cmcsep.covariance import build_block_cm
 from cmcsep.criteria import cmc_filter
 from cmcsep.filtering import normal_form
@@ -131,11 +131,12 @@ def reference_newton_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
         f_b = b @ f_b
         history.append(f_val)
 
+    xi_mat = matlin.joint_moments(r, ga, gb)
     return filtering.NormalForm(
-        xi=filtering.normal_form_coefficients(r, (da, db)),
+        xi=da * db * np.linalg.svd(xi_mat, compute_uv=False),
         filter_a=f_a,
         filter_b=f_b,
-        rho_tilde=r,
+        state=matlin._checked(r, (da, db)),
         converged=converged,
         f_value=f_val,
         iterations=steps,
@@ -170,7 +171,7 @@ def test_normal_form_marginals_maximally_mixed():
         rho = states.random_density(9, rng=rng)
         nf = normal_form(rho, (3, 3))
         assert nf.converged
-        rt = nf.rho_tilde
+        rt = nf.state.rho
         ra = matlin.partial_trace(rt, (3, 3), "A")
         rb = matlin.partial_trace(rt, (3, 3), "B")
         assert np.max(np.abs(ra - np.eye(3) / 3)) < 1e-7
@@ -201,14 +202,14 @@ def test_normal_form_reproduces_filtered_state():
     filt = np.kron(nf.filter_a, nf.filter_b)
     mapped = filt @ rho @ filt.conj().T
     mapped /= np.real(np.trace(mapped))
-    assert np.linalg.norm(mapped - nf.rho_tilde) < 1e-8
+    assert np.linalg.norm(mapped - nf.state.rho) < 1e-8
 
 
 def test_normal_form_idempotent_up_to_local_unitaries():
     rng = np.random.default_rng(76)
     rho = states.random_density(9, rng=rng)
     first = normal_form(rho, (3, 3))
-    second = normal_form(first.rho_tilde, (3, 3))
+    second = normal_form(first.state, (3, 3))
     np.testing.assert_allclose(second.xi, first.xi, atol=1e-6)
 
 
@@ -220,7 +221,7 @@ def test_normal_form_ppt_invariant():
         rho = 0.5 * states.random_density(4, rng=rng) \
             + 0.5 * states.random_separable(2, 2, rng=rng)
         nf = normal_form(rho, (2, 2))
-        assert ppt(rho, (2, 2)).detected == ppt(nf.rho_tilde, (2, 2)).detected
+        assert ppt(rho, (2, 2)).detected == ppt(nf.state, (2, 2)).detected
 
 
 def test_normal_form_max_iter_graceful():
@@ -283,7 +284,7 @@ def test_newton_hessian_is_block_cm(dims):
     da, db = dims
     rng = np.random.default_rng([83, da, db])
     rho = states.random_density(da * db, rng=rng)
-    iterate = normal_form(rho, dims, max_iter=1).rho_tilde
+    iterate = normal_form(rho, dims, max_iter=1).state.rho
     ga, gb = gellmann_like_basis(da), gellmann_like_basis(db)
     grad, hess = filtering.newton_system(
         iterate, *filtering._local_generators(da, db)[:2])
@@ -301,8 +302,34 @@ def test_normal_form_rank_deficient_2x5_converges():
         nf = normal_form(rho, (2, 5))
         assert nf.noise_eps == filtering.DEFAULT_NOISE_EPS
         assert nf.converged and nf.iterations <= 50
-        assert np.max(np.abs(nf.rho_tilde - nf.rho_tilde.conj().T)) <= 1e-14
+        assert np.max(np.abs(nf.state.rho - nf.state.rho.conj().T)) <= 1e-14
         assert np.all(np.diff(nf.f_history) <= 1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+def test_normal_form_is_a_checked_state(monkeypatch, dims):
+    """rho_tilde comes back as a CheckedState of the input's dims, with no
+    second Hermiticity check and no block CM: xi is read off its one
+    joint-moment contraction, which a block CM of a state shares."""
+    calls = []
+    for module, name in ((matlin, "hermitize"), (matlin, "joint_moments"),
+                         (covariance, "build_block_cm")):
+        monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name),
+                            _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+    da, db = dims
+    rho = states.random_density(da * db, rng=np.random.default_rng([109, da, db]))
+    st = matlin.CheckedState(rho, dims)
+    st.rho  # checked here, before normal_form sees it
+    for given, checks in ((rho, ["hermitize"]), (st, [])):
+        calls.clear()
+        nf = normal_form(given, dims)
+        assert calls == checks + ["joint_moments"]
+        assert isinstance(nf.state, matlin.CheckedState)
+        assert nf.state.dims == dims
+        assert np.array_equal(
+            nf.xi, da * db * np.linalg.svd(nf.state.joint[1:, 1:], compute_uv=False))
+    for state in (st, nf.state):
+        assert state.block_cm.joint is state.joint
 
 
 def test_chessboard_filter_runs_bounded():
@@ -351,15 +378,16 @@ def test_normal_form_stops_on_marginal_tolerance(monkeypatch, dims, tol):
         rho = states.random_density(da * db, rng=rng)
         nf = normal_form(rho, dims)
         assert nf.converged
-        assert _marginal_deviation(nf.rho_tilde, dims) <= tol + 1e-15
+        assert _marginal_deviation(nf.state.rho, dims) <= tol + 1e-15
         one = normal_form(rho, dims, max_iter=1)
         assert not one.converged
-        assert _marginal_deviation(one.rho_tilde, dims) > tol
+        assert _marginal_deviation(one.state.rho, dims) > tol
 
 
 def _assert_same_normal_form(nf, ref):
-    for name in ("xi", "filter_a", "filter_b", "rho_tilde", "f_history"):
+    for name in ("xi", "filter_a", "filter_b", "f_history"):
         assert np.array_equal(getattr(nf, name), getattr(ref, name)), name
+    assert np.array_equal(nf.state.rho, ref.state.rho)
     assert (nf.iterations, nf.converged, nf.noise_eps, nf.f_value) \
         == (ref.iterations, ref.converged, ref.noise_eps, ref.f_value)
 
