@@ -129,14 +129,18 @@ def cmd_detect(args) -> int:
     verdicts = criteria.run_all(st, dims, criteria=wanted)
     doc = [v.to_json() for v in verdicts]
     if args.basis:
+        from dataclasses import replace
+
         from .covariance import build_block_cm, cm_to_json
         from .observables import make_basis
 
         try:
-            # the Gell-Mann one is the state's shared CM, which run_all built
-            bcm = st.block_cm if args.basis == "gellmann" else build_block_cm(
-                st, make_basis(args.basis, dims[0]),
-                make_basis(args.basis, dims[1]), kind="symmetric")
+            bases = [make_basis(args.basis, d) for d in dims]
+            # the Gell-Mann-like bases (Pauli's at d = 2, under its own tag)
+            # give the state's shared CM, which run_all built
+            bcm = (replace(st.block_cm, basis_a=bases[0], basis_b=bases[1])
+                   if args.basis in ("gellmann", "pauli")
+                   else build_block_cm(st, *bases, kind="symmetric"))
         except MatrixError as exc:
             raise InputError(f"cannot build CM in basis {args.basis!r}: {exc}")
         doc = {"verdicts": doc, "block_cm": cm_to_json(bcm)}

@@ -4,6 +4,7 @@ exactly when the state is flagged entangled."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,24 +223,17 @@ def _traceless_sym_basis_3() -> list[np.ndarray]:
     return mats
 
 
-def _two_qubit_sdp_problem(gamma_eff: np.ndarray) -> sdpsolve.SdpProblem:
-    """Program: maximize lambda over kappa_A/B = ((1+lambda)1 - rho_{A,B})/2
-    with rho_{A,B} symmetric of trace 1+lambda, subject to kappa_A/B >= 0 and
-    gamma_eff - kappa_A (+) kappa_B >= 0.
-
-    The trace equalities are eliminated affinely, rho = (1+lambda)/3 1 +
-    traceless part, leaving 11 variables over blocks 6 (+) 3 (+) 3; splitting
-    them into scalar inequality pairs instead makes the central path
-    degenerate and the gap tolerance unreachable.  kappa then reads
-    (1+lambda)/3 1 - traceless/2, so the lambda column carries -1/3 on the
-    big block and +1/3 on the kappa blocks.
-    """
+@functools.lru_cache(maxsize=1)
+def _two_qubit_program() -> sdpsolve.SdpProblem:
+    """The program below at gamma_eff = 0: everything but F0's big block is
+    independent of the state, so it is built once per process and shared,
+    read-only, by every solve."""
     basis = _traceless_sym_basis_3()
     m = 11
     c = np.zeros(m)
     c[0] = -1.0  # min -lambda
 
-    f0_blocks = [gamma_eff - np.eye(6) / 3.0, np.eye(3) / 3.0, np.eye(3) / 3.0]
+    f0_blocks = [-np.eye(6) / 3.0, np.eye(3) / 3.0, np.eye(3) / 3.0]
     fi = [np.zeros((m, 6, 6)), np.zeros((m, 3, 3)), np.zeros((m, 3, 3))]
     fi[0][0] = -np.eye(6) / 3.0
     fi[1][0] = np.eye(3) / 3.0
@@ -251,6 +245,23 @@ def _two_qubit_sdp_problem(gamma_eff: np.ndarray) -> sdpsolve.SdpProblem:
         fi[1][ia] = -0.5 * e
         fi[2][ib] = -0.5 * e
     return sdpsolve.SdpProblem(c=c, f0_blocks=f0_blocks, fi_blocks=fi)
+
+
+def _two_qubit_sdp_problem(gamma_eff: np.ndarray) -> sdpsolve.SdpProblem:
+    """Program: maximize lambda over kappa_A/B = ((1+lambda)1 - rho_{A,B})/2
+    with rho_{A,B} symmetric of trace 1+lambda, subject to kappa_A/B >= 0 and
+    gamma_eff - kappa_A (+) kappa_B >= 0.
+
+    The trace equalities are eliminated affinely, rho = (1+lambda)/3 1 +
+    traceless part, leaving 11 variables over blocks 6 (+) 3 (+) 3; splitting
+    them into scalar inequality pairs instead makes the central path
+    degenerate and the gap tolerance unreachable.  kappa then reads
+    (1+lambda)/3 1 - traceless/2, so the lambda column carries -1/3 on the
+    big block and +1/3 on the kappa blocks, and F0 is gamma_eff - 1/3 (+)
+    1/3 (+) 1/3.
+    """
+    base = _two_qubit_program()
+    return base.with_f0([gamma_eff + base.f0_blocks[0], *base.f0_blocks[1:]])
 
 
 def extract_lur_from_witness(z1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ variables, blocks of a few rows), so robustness is favored throughout.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,39 +28,95 @@ class SdpError(ValueError):
     """Malformed SDP data."""
 
 
+def _data(a, what: str) -> np.ndarray:
+    """A read-only float copy of ``a``; non-finite entries are rejected."""
+    out = np.array(a, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise SdpError(f"{what} has a non-finite entry")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Objective vector c and symmetric block-diagonal constraint matrices.
 
     ``f0_blocks[b]`` is the constant block; ``fi_blocks[b]`` stacks the m
-    coefficient blocks as an (m, n_b, n_b) array.
+    coefficient blocks as an (m, n_b, n_b) array.  The problem also holds
+    what the solver iterates on: F0 and the F_i embedded as dense
+    block-diagonal matrices, ``amat`` = the F_i flattened into rows, the
+    objective ``scale`` and the Gram projector ``proj``.  Every array is a
+    read-only copy, so ``with_f0`` can share all that does not depend on F0.
     """
 
     c: np.ndarray
     f0_blocks: list = field(repr=False)
     fi_blocks: list = field(repr=False)
+    blocks: list = field(init=False, repr=False)
+    fi: np.ndarray = field(init=False, repr=False)
+    amat: np.ndarray = field(init=False, repr=False)
+    f0: np.ndarray = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False)
+    proj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).ravel()
-        object.__setattr__(self, "c", c)
-        f0 = [np.asarray(b, dtype=float) for b in self.f0_blocks]
-        fi = [np.asarray(b, dtype=float) for b in self.fi_blocks]
-        if len(f0) != len(fi) or not f0:
-            raise SdpError("need matching, non-empty F0 and Fi block lists")
-        for b0, bi in zip(f0, fi):
-            nb = b0.shape[0]
-            if b0.shape != (nb, nb):
-                raise SdpError(f"F0 block has shape {b0.shape}, expected square")
-            if bi.shape != (len(c), nb, nb):
-                raise SdpError(
-                    f"Fi block stack has shape {bi.shape}, expected "
-                    f"({len(c)}, {nb}, {nb})")
-            if np.max(np.abs(b0 - b0.T)) > 1e-12 * max(1.0, np.max(np.abs(b0))):
-                raise SdpError("F0 block is not symmetric")
+        c = _data(self.c, "c").ravel()
+        fi = [_data(b, "an Fi block stack") for b in self.fi_blocks]
+        if not fi:
+            raise SdpError("need at least one block")
+        m = len(c)
+        for bi in fi:
+            if bi.ndim != 3 or bi.shape[0] != m or bi.shape[1] != bi.shape[2]:
+                raise SdpError(f"Fi block stack has shape {bi.shape}, expected "
+                               f"({m}, n, n)")
             if bi.size and np.max(np.abs(bi - bi.transpose(0, 2, 1))) > 1e-12:
                 raise SdpError("an Fi block is not symmetric")
-        object.__setattr__(self, "f0_blocks", f0)
-        object.__setattr__(self, "fi_blocks", fi)
+        ends = np.cumsum([bi.shape[1] for bi in fi]).tolist()
+        blocks = [slice(e - bi.shape[1], e) for e, bi in zip(ends, fi)]
+        ntot = ends[-1]
+        dense = np.zeros((m, ntot, ntot))
+        for sl, bi in zip(blocks, fi):
+            dense[:, sl, sl] = bi
+        dense.flags.writeable = False
+        for name, value in (("c", c), ("fi_blocks", fi), ("blocks", blocks),
+                            ("fi", dense), ("amat", dense.reshape(m, ntot**2))):
+            object.__setattr__(self, name, value)
+        self._set_f0(self.f0_blocks)
+
+    def _set_f0(self, f0_blocks, proj=None) -> None:
+        """Check and embed F0, and build the projector unless ``proj`` is
+        the one of a problem with the same scale."""
+        f0 = [_data(b, "an F0 block") for b in f0_blocks]
+        if len(f0) != len(self.blocks):
+            raise SdpError("need one F0 block per Fi block stack")
+        ntot = self.blocks[-1].stop
+        dense = np.zeros((ntot, ntot))
+        for b0, sl in zip(f0, self.blocks):
+            nb = sl.stop - sl.start
+            if b0.shape != (nb, nb):
+                raise SdpError(f"F0 block has shape {b0.shape}, expected "
+                               f"({nb}, {nb})")
+            if np.max(np.abs(b0 - b0.T)) > 1e-12 * max(1.0, np.max(np.abs(b0))):
+                raise SdpError("F0 block is not symmetric")
+            dense[sl, sl] = b0
+        dense.flags.writeable = False
+        m = self.n_vars
+        scale = max(1.0, float(np.max(np.abs(dense))),
+                    float(np.max(np.abs(self.c))) if m else 1.0)
+        if proj is None or scale != self.scale:
+            # amat^T gram^-1 (gram is symmetric)
+            gram = self.amat @ self.amat.T + 1e-12 * scale**2 * np.eye(m)
+            proj = np.linalg.solve(gram, self.amat).T
+            proj.flags.writeable = False
+        for name, value in (("f0_blocks", f0), ("f0", dense), ("scale", scale),
+                            ("proj", proj)):
+            object.__setattr__(self, name, value)
+
+    def with_f0(self, f0_blocks) -> SdpProblem:
+        """The same program with another constant term F0."""
+        out = copy.copy(self)
+        out._set_f0(f0_blocks, self.proj)
+        return out
 
     @property
     def n_vars(self) -> int:
@@ -113,34 +170,17 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     with status ``max_iter``.
     """
     m = problem.n_vars
-    c = problem.c
-    ntot = sum(problem.block_dims)
-    ends = np.cumsum(problem.block_dims).tolist()
-    blocks = [slice(e - nb, e) for e, nb in zip(ends, problem.block_dims)]
-
+    c, blocks, scale = problem.c, problem.blocks, problem.scale
+    ntot = blocks[-1].stop
     # S, Z and the F_i are iterated as dense block-diagonal ntot x ntot
-    # matrices.  Products and inverses keep the off-block entries exactly
-    # zero, and the step tests need only eigenvalues, which are those of
-    # the blocks together.
-    def embed(mats, lead=()):
-        out = np.zeros(lead + (ntot, ntot))
-        for sl, b in zip(blocks, mats):
-            out[..., sl, sl] = b
-        return out
-
-    f0 = embed(problem.f0_blocks)
-    fi = embed(problem.fi_blocks, (m,))
-    # Constraint matrix of the dual equalities tr(F_i Z) = c_i over vec(Z),
-    # so F(x) = F0 + x @ amat and A*(Z) = amat @ vec(Z).  Dual steps are
-    # re-projected onto it exactly, so roundoff from the (increasingly
+    # matrices.  Products and eigendecompositions keep the off-block entries
+    # exactly zero, and the step tests need only eigenvalues, which are
+    # those of the blocks together.  F(x) = F0 + x @ amat and
+    # A*(Z) = amat @ vec(Z).  Dual steps are re-projected onto A*(dZ) = rd
+    # exactly (proj is amat^T gram^-1), so roundoff from the (increasingly
     # ill-conditioned) Schur solves never accumulates in the dual residual.
+    f0, fi, amat, proj = problem.f0, problem.fi, problem.amat, problem.proj
     f0vec = f0.ravel()
-    amat = fi.reshape(m, ntot * ntot)
-    scale = max(1.0, float(np.max(np.abs(f0vec))),
-                float(np.max(np.abs(c))) if m else 1.0)
-    gram = amat @ amat.T + 1e-12 * scale**2 * np.eye(m)
-    # amat^T gram^-1, factored once per solve (gram is symmetric)
-    proj = np.linalg.solve(gram, amat).T
 
     def sym(a):
         return (a + a.T) / 2
@@ -152,6 +192,10 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     def residuals(xv, sv, zv):
         return f0 + (xv @ amat).reshape(ntot, ntot) - sv, c - amat @ zv.ravel()
 
+    # keep mu above what the gap tolerance needs; driving it further
+    # amplifies the Schur system and erodes dual feasibility
+    mu_floor = 0.1 * DEFAULT_TOL * scale / ntot
+    ridge = 1e-13 * scale * np.eye(m)
     x = np.zeros(m)
     s = scale * np.eye(ntot)
     z = s.copy()
@@ -165,7 +209,8 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
         mu = float(np.vdot(s, z)) / ntot
         rd_norm = float(np.max(np.abs(rd))) if m else 0.0
         gap = float(c @ x + f0vec @ z.ravel())
-        metric = max(float(np.max(np.abs(rp))), rd_norm, abs(gap)) / scale
+        # np.max, unlike max(), passes a NaN on, which never converges
+        metric = float(np.max((np.max(np.abs(rp)), rd_norm, abs(gap)))) / scale
         if metric < best_metric:
             best_metric = metric
             best_state = (x, s, z)  # iterates are replaced, never mutated
@@ -179,39 +224,55 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
             break  # numerical floor reached; fall back to the best iterate
 
         # Farkas check: a scaled dual ray with A*(Z) ~ 0 and tr(F0 Z) < 0
-        # bounds the primal objective away from every feasible value.
-        znorm = sum(float(np.linalg.norm(z[sl, sl])) for sl in blocks)
-        if znorm > 1e8 * scale:
+        # bounds the primal objective away from every feasible value.  The
+        # block norms sum to at most ntot max|Z|, so that bound screens them.
+        if ntot * float(np.max(np.abs(z))) > 1e8 * scale:
+            znorm = sum(float(np.linalg.norm(z[sl, sl])) for sl in blocks)
             zray = z / znorm
-            if (float(np.max(np.abs(amat @ zray.ravel()))) <= 1e-9
+            if (znorm > 1e8 * scale
+                    and float(np.max(np.abs(amat @ zray.ravel()))) <= 1e-9
                     and f0vec @ zray.ravel() < -_INFEASIBILITY_MARGIN):
                 z = zray
                 status = "infeasible"
                 break
 
-        sinv = np.linalg.inv(s)
-        # Schur complement M_ij = tr(F_i S^-1 F_j Z), contracted as amat
-        # against vec(S^-1 F_j Z) (the F_i are symmetric), symmetrized
-        mmat = sym(amat @ (sinv @ fi @ z).reshape(m, ntot * ntot).T)
-        mmat += 1e-13 * scale * np.eye(m)
-        # step-length factors of the current S and Z, shared by all directions
+        # step-length factors of the current S and Z, shared by all
+        # directions; S^-1 = sfac sfac^T from the same eigendecomposition
         sfac, zfac = _step_factor(s), _step_factor(z)
+        sinv = sfac @ sfac.T
+        # G_j = S^-1 F_j Z.  Schur complement M_ij = tr(F_i G_j), contracted
+        # as amat against vec(G_j) (the F_i are symmetric), symmetrized,
+        # and inverted once for every direction
+        g = (sinv @ fi @ z).reshape(m, ntot * ntot)
+        mmat = sym(amat @ g.T) + ridge
+        try:
+            minv = np.linalg.inv(mmat)
+        except np.linalg.LinAlgError:
+            minv = None
+        # HKM: dZ = sym W(dS) with W(D) = sigma_mu S^-1 - Z - S^-1 D Z
+        # [- S^-1 corr] and dS = dx @ F + Rp, where S^-1 (dx @ F) Z = dx @ G;
+        # dx solves M dx = A*(W(Rp)) - rd.  As A*(Z) + rd = c, the parts that
+        # no direction changes are w0 = -Z - S^-1 Rp Z of W and
+        # -c - A*(S^-1 Rp Z) of the right-hand side.
+        srz = sinv @ rp @ z
+        w0 = -z - srz
+        a_sinv = amat @ sinv.ravel()
+        rhs0 = -c - amat @ srz.ravel()
 
         def direction(sigma_mu, corr=None):
-            # HKM: W(D) = sigma_mu S^-1 - Z - S^-1 D Z [- S^-1 corr]; the
-            # right-hand side is A*(W(Rp)) - rd and dZ = sym W(dS).  As the
-            # F_i are symmetric, tr(F_i W^T) = amat[i] @ vec(W).
-            base = sigma_mu * sinv - z
+            w = sigma_mu * sinv + w0
+            rhs = sigma_mu * a_sinv + rhs0
             if corr is not None:
-                base = base - sinv @ corr
-            rhs = amat @ (base - sinv @ rp @ z).ravel() - rd
-            try:
-                dx = np.linalg.solve(mmat, rhs)
-                dx += np.linalg.solve(mmat, rhs - mmat @ dx)  # refinement
-            except np.linalg.LinAlgError:
+                sc = sinv @ corr
+                w -= sc
+                rhs -= amat @ sc.ravel()
+            if minv is None:
                 dx = np.linalg.lstsq(mmat, rhs, rcond=None)[0]
+            else:
+                dx = minv @ rhs
+                dx += minv @ (rhs - mmat @ dx)  # refinement
             ds = (dx @ amat).reshape(ntot, ntot) + rp
-            return dx, ds, project_dz(sym(base - sinv @ ds @ z), rd)
+            return dx, ds, project_dz(w - (dx @ g).reshape(ntot, ntot), rd)
 
         def steps(ds, dz):
             return _max_step(sfac, ds), _max_step(zfac, dz)
@@ -221,9 +282,6 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
         ap, ad = steps(ds_a, dz_a)
         mu_aff = float(np.vdot(s + ap * ds_a, z + ad * dz_a)) / ntot
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-6)) if mu > 0 else 0.1
-        # keep mu above what the gap tolerance needs; driving it further
-        # amplifies the Schur system and erodes dual feasibility
-        mu_floor = 0.1 * DEFAULT_TOL * scale / ntot
         dx, ds, dz = direction(max(sigma * mu, mu_floor), corr=ds_a @ dz_a)
         ap, ad = steps(ds, dz)
         if min(ap, ad) < 0.05:

@@ -317,11 +317,13 @@ def test_detect_with_cm_export(tmp_path, capsys):
     assert abs(cm["purity"]["a"] - 0.5) < 1e-12
 
 
-@pytest.mark.parametrize("basis, builds", [("gellmann", 1), ("standard", 2)])
+@pytest.mark.parametrize("basis, builds", [("gellmann", 1), ("pauli", 1),
+                                           ("standard", 2)])
 def test_detect_basis_builds_block_cm(tmp_path, capsys, monkeypatch, basis,
                                       builds):
-    """detect --basis gellmann exports the block CM the criteria shared;
-    another basis needs a CM of its own."""
+    """detect --basis gellmann, or pauli (the d = 2 Gell-Mann-like basis),
+    exports the block CM the criteria shared; another basis needs a CM of
+    its own."""
     path = tmp_path / "w.json"
     write_statefile(str(path), states.werner_2q(0.5), (2, 2))
     built = []

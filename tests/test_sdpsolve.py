@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cmcsep import sdpsolve, states
+from cmcsep import criteria, matlin, sdpsolve, states
 from cmcsep.covariance import two_qubit_effective_cm
 from cmcsep.criteria import SDP_EPS_MARGIN, _two_qubit_sdp_problem, cmc_sdp_2q
 from cmcsep.sdpsolve import SdpProblem, SdpError, solve
@@ -346,17 +346,29 @@ def test_problem_validation():
         asym = np.array([[0.0, 1.0], [0.0, 0.0]])
         SdpProblem(c=np.zeros(1), f0_blocks=[asym],
                    fi_blocks=[np.zeros((1, 2, 2))])
+    # non-finite data: a NaN in c used to come back "optimal" with a NaN gap
+    for c, f0, f1 in [([np.nan], [[1.0]], 1.0), ([1.0], [[np.inf]], 1.0),
+                      ([1.0], [[1.0]], np.nan)]:
+        with pytest.raises(SdpError, match="non-finite"):
+            SdpProblem(c=c, f0_blocks=[f0], fi_blocks=[np.full((1, 1, 1), f1)])
 
 
 def _two_qubit_problems(n: int) -> list[SdpProblem]:
-    """Seeded CMC programs: random full-rank states alternating with
-    separable mixtures, so both verdicts occur."""
+    """Seeded CMC programs: n random full-rank states alternating with
+    separable mixtures, so both verdicts occur, then a pure, a product, a
+    rank-2 and a rank-3 state.  The last four are noise-mixed as
+    cmc_sdp_2q mixes them, so their gamma_eff is near singular."""
     rng = np.random.default_rng(93)
+    rhos = [states.random_density(4, rng=rng) if i % 2 == 0 else
+            states.random_separable(2, 2, int(rng.integers(4, 16)), rng=rng)
+            for i in range(n)]
+    rhos += [states.werner_2q(1.0), np.diag([0.0, 1.0, 0.0, 0.0]),
+             states.random_density(4, rank=2, rng=rng),
+             states.random_density(4, rank=3, rng=rng)]
     out = []
-    for i in range(n):
-        rho = (states.random_density(4, rng=rng) if i % 2 == 0 else
-               states.random_separable(2, 2, int(rng.integers(4, 16)), rng=rng))
-        out.append(_two_qubit_sdp_problem(two_qubit_effective_cm(rho)))
+    for rho in rhos:
+        st, _ = matlin.as_state(rho, (2, 2)).mixed()
+        out.append(_two_qubit_sdp_problem(two_qubit_effective_cm(st)))
     return out
 
 
@@ -405,6 +417,33 @@ def test_early_iterates_match_contraction_reference(max_iter):
         for got, want in zip(new.s_blocks + new.z_blocks,
                              ref.s_blocks + ref.z_blocks):
             assert np.max(np.abs(got - want)) <= 1e-11
+
+
+def test_two_qubit_program_is_built_once(monkeypatch):
+    """Two cmc_sdp_2q calls solve programs that share the state-independent
+    data (c, the F_i, their embedding, amat and the Gram projector), all of
+    it read-only, and differ only in F0."""
+    solved = []
+
+    def record(problem, **kwargs):
+        solved.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(sdpsolve, "solve", record)
+    cmc_sdp_2q(states.werner_2q(0.5))
+    cmc_sdp_2q(states.werner_2q(0.2))
+    first, second = solved
+    assert first.scale == second.scale == 1.0
+    for name in ("c", "fi", "amat", "proj"):
+        assert getattr(first, name) is getattr(second, name)
+        assert not getattr(first, name).flags.writeable
+    for a, b in zip(first.fi_blocks, second.fi_blocks):
+        assert a is b and not a.flags.writeable
+    assert first.fi_blocks[0] is criteria._two_qubit_program().fi_blocks[0]
+    assert not np.array_equal(first.f0, second.f0)
+    assert not (first.f0.flags.writeable or first.f0_blocks[0].flags.writeable)
+    with pytest.raises(ValueError):
+        first.amat[0, 0] = 1.0
 
 
 def test_unconverged_solve_is_undetermined():
