@@ -12,10 +12,11 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, criteria, filtering, states
+from . import __version__, covariance, criteria, filtering, observables, states
 from .matlin import CheckedState, MatrixError, as_state, json_safe
 
 EXIT_OK = 0
@@ -100,13 +101,26 @@ def write_statefile(path: str, rho: np.ndarray, dims: tuple[int, int],
         fh.write("\n")
 
 
-def _emit(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=1, sort_keys=True)
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(doc, out: str | None) -> None:
+    _write(json.dumps(doc, indent=1, sort_keys=True) + "\n", out)
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text of a header row and the data rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _worker_count() -> int:
@@ -129,21 +143,22 @@ def cmd_detect(args) -> int:
     verdicts = criteria.run_all(st, dims, criteria=wanted)
     doc = [v.to_json() for v in verdicts]
     if args.basis:
-        from dataclasses import replace
-
-        from .covariance import build_block_cm, cm_to_json
-        from .observables import make_basis
-
         try:
-            bases = [make_basis(args.basis, d) for d in dims]
-            # the Gell-Mann-like bases (Pauli's at d = 2, under its own tag)
-            # give the state's shared CM, which run_all built
-            bcm = (replace(st.block_cm, basis_a=bases[0], basis_b=bases[1])
-                   if args.basis in ("gellmann", "pauli")
-                   else build_block_cm(st, *bases, kind="symmetric"))
+            bases = [observables.make_basis(args.basis, d) for d in dims]
+            if args.basis in ("gellmann", "pauli"):
+                # the Gell-Mann-like bases (Pauli's at d = 2) give run_all's CM
+                # of the oriented state, its sides exchanged back if dA > dB
+                bcm = st.oriented.block_cm
+                if st.oriented is not st:
+                    bcm = replace(bcm, a=bcm.b, b=bcm.a, c=bcm.c.T, joint=bcm.joint.T,
+                                  purity_a=bcm.purity_b, purity_b=bcm.purity_a,
+                                  moments_a=bcm.moments_b, moments_b=bcm.moments_a)
+                bcm = replace(bcm, basis_a=bases[0], basis_b=bases[1])
+            else:
+                bcm = covariance.build_block_cm(st, *bases, kind="symmetric")
         except MatrixError as exc:
             raise InputError(f"cannot build CM in basis {args.basis!r}: {exc}")
-        doc = {"verdicts": doc, "block_cm": cm_to_json(bcm)}
+        doc = {"verdicts": doc, "block_cm": covariance.cm_to_json(bcm)}
     _emit(doc, args.output)
     return EXIT_OK
 
@@ -299,12 +314,11 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _benchmark_labels(cname: str) -> list[str]:
-    """Row labels of one criterion on the 3x3 ensemble: run_all gives the
+def _benchmark_labels(crit_names) -> list[str]:
+    """Row labels of the criteria on the 3x3 ensemble: run_all gives the
     Ky-Fan family one verdict per shift s = 1, 2."""
-    if cname == "cmc-kyfan":
-        return [f"{cname}-s{s}" for s in (1, 2)]
-    return [cname]
+    return [label for c in crit_names
+            for label in ([f"{c}-s1", f"{c}-s2"] if c == "cmc-kyfan" else [c])]
 
 
 def _benchmark_one(task) -> list[tuple[int, str, float, bool]]:
@@ -312,9 +326,9 @@ def _benchmark_one(task) -> list[tuple[int, str, float, bool]]:
     rho = states.sample_chessboard(np.random.default_rng([seed, index]))
     verdicts = criteria.run_all(rho, (3, 3),
                                 criteria=[criteria.CRITERIA[c] for c in crit_names])
-    labels = [x for cname in crit_names for x in _benchmark_labels(cname)]
     return [(index, label, float(v.margin), bool(v.detected))
-            for label, v in zip(labels, verdicts, strict=True)]
+            for label, v in zip(_benchmark_labels(crit_names), verdicts,
+                                strict=True)]
 
 
 def run_benchmark(n: int, seed: int, crit_names: list[str],
@@ -338,11 +352,9 @@ def run_benchmark(n: int, seed: int, crit_names: list[str],
     else:
         per_state = [_benchmark_one(t) for t in tasks]
     rows = [row for chunk in per_state for row in chunk]
-    fractions = {}
-    for label in (x for cname in crit_names for x in _benchmark_labels(cname)):
-        hits = sum(1 for r in rows if r[1] == label and r[3])
-        total = sum(1 for r in rows if r[1] == label)
-        fractions[label] = hits / total if total else 0.0
+    # every state gives one row per label
+    fractions = {label: sum(r[3] for r in rows if r[1] == label) / n if n else 0.0
+                 for label in _benchmark_labels(crit_names)}
     return rows, fractions
 
 
@@ -357,11 +369,9 @@ def cmd_benchmark(args) -> int:
     rows, fractions = run_benchmark(args.n, args.seed, names)
     wall = time.time() - t0
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "criterion", "margin", "detected"])
-            for index, cname, margin, detected in rows:
-                writer.writerow([index, cname, repr(margin), int(detected)])
+        # csv writes a float as its repr
+        _write(_csv(["index", "criterion", "margin", "detected"],
+                    ((i, c, m, int(d)) for i, c, m, d in rows)), args.csv)
     report = {
         "family": "chessboard",
         "n_samples": args.n,
@@ -378,9 +388,6 @@ def cmd_benchmark(args) -> int:
 def fig1_scan(grid_step: float):
     """Classify the Bloch-inversion behaviour of rho_epsilon on an
     (epsilon, r) grid; parameter points that are not states are skipped."""
-    from .covariance import bloch_invert
-    from .criteria import ppt
-
     if not FIG1_MIN_STEP <= grid_step <= 1.0:
         raise InputError(f"grid step {grid_step} outside [{FIG1_MIN_STEP:g}, 1]")
     rows = []
@@ -391,29 +398,20 @@ def fig1_scan(grid_step: float):
                 rho = as_state(states.rho_epsilon(eps, r, FIG1_S, FIG1_T), (2, 2))
             except MatrixError:
                 continue
-            inv, wmin = bloch_invert(rho, side="A")
+            inv, wmin = covariance.bloch_invert(rho, side="A")
             if wmin < -1e-12:
                 region = "NotAState"
             else:
-                ent = ppt(rho, (2, 2)).detected
-                ent_inv = ppt(inv, (2, 2)).detected
+                ent = criteria.ppt(rho, (2, 2)).detected
+                ent_inv = criteria.ppt(inv, (2, 2)).detected
                 region = "Same" if ent == ent_inv else "Different"
             rows.append((float(eps), float(r), region))
     return rows
 
 
 def cmd_fig1(args) -> int:
-    rows = fig1_scan(args.grid_step)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["epsilon", "r", "region"])
-    for eps, r, region in rows:
-        writer.writerow([repr(eps), repr(r), region])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(_csv(["epsilon", "r", "region"], fig1_scan(args.grid_step)),
+           args.output)
     return EXIT_OK
 
 

@@ -109,10 +109,9 @@ def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
     st = as_state(rho, dims).oriented
     da, db = st.dims
     bcm = st.block_cm
-    u, sing, vt = np.linalg.svd(bcm.c)
-    rot_c = u.T @ bcm.c @ vt.T  # diagonal, largest first
+    _, sing, vt = np.linalg.svd(bcm.c)
     na = da * da
-    lhs = 2.0 * float(np.sum(np.abs(np.diag(rot_c)[:na])))
+    lhs = 2.0 * float(np.sum(sing[:na]))  # |diag(U^T C V^T)|, largest first
     deficit_a = 1.0 - bcm.purity_a
     if da == db:
         rhs = deficit_a + (1.0 - bcm.purity_b)
@@ -201,9 +200,12 @@ def cmc_filter(rho, dims: tuple[int, int],
     else:
         nf = filtering.normal_form(st, st.dims, max_iter=max_iter)
         xi = nf.xi
+        # by the input's sides, so kron(filter_a, filter_b) acts on rho as given
+        fa, fb = ((nf.filter_b, nf.filter_a) if st.swapped
+                  else (nf.filter_a, nf.filter_b))
         run = {"converged": nf.converged, "iterations": nf.iterations,
                "noise_eps": nf.noise_eps, "f_value": nf.f_value,
-               "filter_a": nf.filter_a, "filter_b": nf.filter_b}
+               "filter_a": fa, "filter_b": fb}
     total = float(np.sum(xi))
     bound = filter_xi_bound((da, db), run["converged"])
     return CriterionVerdict(
@@ -290,17 +292,13 @@ def lur_value(rho, ops_a, ops_b) -> float:
     if len(ops_a) == 0:
         return 0.0
     dims = (ops_a.shape[1], ops_b.shape[1])
-
-    def local_moments(ops, keep):
-        # Re tr(rho_X M) = Re sum(rho_X^T * M) for M = O_k and O_k^2
-        rt = matlin.partial_trace(r, dims, keep=keep).T
-        return (np.real(np.sum(rt * ops, axis=(1, 2))),
-                np.real(np.sum(rt * (ops @ ops), axis=(1, 2))))
-
-    mean_a, sq_a = local_moments(ops_a, "A")
-    mean_b, sq_b = local_moments(ops_b, "B")
+    sides = [(matlin.partial_trace(r, dims, keep=keep), ops)
+             for keep, ops in (("A", ops_a), ("B", ops_b))]
+    mean = sum(covariance.first_moments(x, ops) for x, ops in sides)
+    sq = sum(np.real(np.diagonal(covariance.second_moments(x, ops)))
+             for x, ops in sides)
     cross = np.diagonal(matlin.joint_moments(r, ops_a, ops_b))
-    return float(np.sum(sq_a + sq_b + 2 * cross - (mean_a + mean_b) ** 2))
+    return float(np.sum(sq + 2 * cross - mean**2))
 
 
 def cmc_sdp_2q(rho, max_iter: int = sdpsolve.DEFAULT_MAX_ITER) -> CriterionVerdict:

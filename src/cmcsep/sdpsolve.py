@@ -37,7 +37,6 @@ def _data(a, what: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class SdpProblem:
     """Objective vector c and symmetric block-diagonal constraint matrices.
 
@@ -49,22 +48,12 @@ class SdpProblem:
     read-only copy, so ``with_f0`` can share all that does not depend on F0.
     """
 
-    c: np.ndarray
-    f0_blocks: list = field(repr=False)
-    fi_blocks: list = field(repr=False)
-    blocks: list = field(init=False, repr=False)
-    fi: np.ndarray = field(init=False, repr=False)
-    amat: np.ndarray = field(init=False, repr=False)
-    f0: np.ndarray = field(init=False, repr=False)
-    scale: float = field(init=False, repr=False)
-    proj: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        c = _data(self.c, "c").ravel()
-        fi = [_data(b, "an Fi block stack") for b in self.fi_blocks]
+    def __init__(self, c, f0_blocks, fi_blocks):
+        self.c = _data(c, "c").ravel()
+        self.fi_blocks = fi = [_data(b, "an Fi block stack") for b in fi_blocks]
         if not fi:
             raise SdpError("need at least one block")
-        m = len(c)
+        m = self.n_vars
         for bi in fi:
             if bi.ndim != 3 or bi.shape[0] != m or bi.shape[1] != bi.shape[2]:
                 raise SdpError(f"Fi block stack has shape {bi.shape}, expected "
@@ -72,25 +61,27 @@ class SdpProblem:
             if bi.size and np.max(np.abs(bi - bi.transpose(0, 2, 1))) > 1e-12:
                 raise SdpError("an Fi block is not symmetric")
         ends = np.cumsum([bi.shape[1] for bi in fi]).tolist()
-        blocks = [slice(e - bi.shape[1], e) for e, bi in zip(ends, fi)]
-        ntot = ends[-1]
-        dense = np.zeros((m, ntot, ntot))
-        for sl, bi in zip(blocks, fi):
-            dense[:, sl, sl] = bi
-        dense.flags.writeable = False
-        for name, value in (("c", c), ("fi_blocks", fi), ("blocks", blocks),
-                            ("fi", dense), ("amat", dense.reshape(m, ntot**2))):
-            object.__setattr__(self, name, value)
-        self._set_f0(self.f0_blocks)
+        self.blocks = [slice(e - bi.shape[1], e) for e, bi in zip(ends, fi)]
+        self.fi = self._embed(fi, (m,))
+        self.amat = self.fi.reshape(m, ends[-1] ** 2)
+        self.scale = None
+        self._set_f0(f0_blocks)
 
-    def _set_f0(self, f0_blocks, proj=None) -> None:
-        """Check and embed F0, and build the projector unless ``proj`` is
-        the one of a problem with the same scale."""
+    def _embed(self, mats, lead: tuple) -> np.ndarray:
+        """The blocks ``mats`` (leading axes ``lead``) as one read-only array."""
+        ntot = self.blocks[-1].stop
+        dense = np.zeros((*lead, ntot, ntot))
+        for sl, b in zip(self.blocks, mats):
+            dense[..., sl, sl] = b
+        dense.flags.writeable = False
+        return dense
+
+    def _set_f0(self, f0_blocks) -> None:
+        """Check and embed F0; the projector is rebuilt only when F0 moves
+        ``scale`` off the stored one."""
         f0 = [_data(b, "an F0 block") for b in f0_blocks]
         if len(f0) != len(self.blocks):
             raise SdpError("need one F0 block per Fi block stack")
-        ntot = self.blocks[-1].stop
-        dense = np.zeros((ntot, ntot))
         for b0, sl in zip(f0, self.blocks):
             nb = sl.stop - sl.start
             if b0.shape != (nb, nb):
@@ -98,24 +89,21 @@ class SdpProblem:
                                f"({nb}, {nb})")
             if np.max(np.abs(b0 - b0.T)) > 1e-12 * max(1.0, np.max(np.abs(b0))):
                 raise SdpError("F0 block is not symmetric")
-            dense[sl, sl] = b0
-        dense.flags.writeable = False
+        self.f0_blocks, self.f0 = f0, self._embed(f0, ())
         m = self.n_vars
-        scale = max(1.0, float(np.max(np.abs(dense))),
+        scale = max(1.0, float(np.max(np.abs(self.f0))),
                     float(np.max(np.abs(self.c))) if m else 1.0)
-        if proj is None or scale != self.scale:
+        if scale != self.scale:
             # amat^T gram^-1 (gram is symmetric)
             gram = self.amat @ self.amat.T + 1e-12 * scale**2 * np.eye(m)
-            proj = np.linalg.solve(gram, self.amat).T
-            proj.flags.writeable = False
-        for name, value in (("f0_blocks", f0), ("f0", dense), ("scale", scale),
-                            ("proj", proj)):
-            object.__setattr__(self, name, value)
+            self.proj = np.linalg.solve(gram, self.amat).T
+            self.proj.flags.writeable = False
+            self.scale = scale
 
     def with_f0(self, f0_blocks) -> SdpProblem:
         """The same program with another constant term F0."""
         out = copy.copy(self)
-        out._set_f0(f0_blocks, self.proj)
+        out._set_f0(f0_blocks)
         return out
 
     @property

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmcsep import cli, covariance, filtering, matlin, states
+from cmcsep import cli, covariance, filtering, matlin, observables, states
 from cmcsep.cli import (_worker_count, bisect_threshold, load_statefile, main,
                         run_benchmark, write_statefile)
 from cmcsep.matlin import MatrixError
@@ -317,15 +317,22 @@ def test_detect_with_cm_export(tmp_path, capsys):
     assert abs(cm["purity"]["a"] - 0.5) < 1e-12
 
 
-@pytest.mark.parametrize("basis, builds", [("gellmann", 1), ("pauli", 1),
-                                           ("standard", 2)])
+@pytest.mark.parametrize("basis, dims, builds", [
+    pytest.param("gellmann", (2, 2), 1, id="gellmann-1"),
+    pytest.param("pauli", (2, 2), 1, id="pauli-1"),
+    pytest.param("standard", (2, 2), 2, id="standard-2"),
+    pytest.param("gellmann", (3, 2), 1, id="gellmann-3x2-1"),
+])
 def test_detect_basis_builds_block_cm(tmp_path, capsys, monkeypatch, basis,
-                                      builds):
+                                      dims, builds):
     """detect --basis gellmann, or pauli (the d = 2 Gell-Mann-like basis),
-    exports the block CM the criteria shared; another basis needs a CM of
-    its own."""
+    exports the block CM the criteria shared, with dA > dB that of the
+    oriented state with its sides exchanged back; another basis needs a CM
+    of its own.  The export matches a CM built directly on the input."""
     path = tmp_path / "w.json"
-    write_statefile(str(path), states.werner_2q(0.5), (2, 2))
+    rho = (states.werner_2q(0.5) if dims == (2, 2)
+           else states.random_density(6, rng=np.random.default_rng(525)))
+    write_statefile(str(path), rho, dims)
     built = []
     build = covariance.build_block_cm
 
@@ -335,8 +342,17 @@ def test_detect_basis_builds_block_cm(tmp_path, capsys, monkeypatch, basis,
 
     monkeypatch.setattr(covariance, "build_block_cm", counted)
     assert run_cli(["detect", str(path), "--basis", basis]) == 0
-    assert json.loads(capsys.readouterr().out)["block_cm"]["basis"] == [basis] * 2
+    cm = json.loads(capsys.readouterr().out)["block_cm"]
+    assert cm["basis"] == [basis] * 2
     assert len(built) == builds
+    want = build(rho, *[observables.make_basis(basis, d) for d in dims])
+    np.testing.assert_allclose(cm["matrix"], want.assembled(), atol=1e-12)
+    np.testing.assert_allclose(cm["first_moments"]["a"], want.moments_a,
+                               atol=1e-12)
+    np.testing.assert_allclose(cm["first_moments"]["b"], want.moments_b,
+                               atol=1e-12)
+    assert abs(cm["purity"]["a"] - want.purity_a) < 1e-12
+    assert abs(cm["purity"]["b"] - want.purity_b) < 1e-12
 
 
 def test_detect_cm_export_pauli_needs_qubits(tmp_path, capsys):

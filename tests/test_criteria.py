@@ -156,6 +156,23 @@ def test_filter_swapped_dims():
     assert not v.detected
 
 
+def test_filter_reports_filters_by_input_sides():
+    """At (3, 2) the filters of the swapped state's normal form are reported
+    by the input's sides: kron(filter_a, filter_b) brings rho itself to
+    maximally mixed marginals."""
+    rho = states.random_density(6, rng=np.random.default_rng(526))
+    v = cmc_filter(rho, (3, 2))
+    fa, fb = v.details["filter_a"], v.details["filter_b"]
+    assert v.details["swapped"] and v.details["converged"]
+    assert fa.shape == (3, 3) and fb.shape == (2, 2)
+    k = np.kron(fa, fb)
+    out = k @ rho @ k.conj().T
+    out /= np.trace(out)
+    for keep, d in (("A", 3), ("B", 2)):
+        marginal = matlin.partial_trace(out, (3, 2), keep=keep)
+        assert np.max(np.abs(marginal - np.eye(d) / d)) < 1e-7
+
+
 def test_filter_uneven_bound_value():
     """d_A=2, d_B=3 bound is min(3.5, sqrt(12))."""
     assert abs(criteria.filter_xi_bound((2, 3)) - np.sqrt(12.0)) < 1e-12

@@ -446,6 +446,24 @@ def test_two_qubit_program_is_built_once(monkeypatch):
         first.amat[0, 0] = 1.0
 
 
+def test_with_f0_rebuilds_projector_only_on_a_new_scale():
+    """An F0 that raises the scale gets the projector of a freshly built
+    problem and leaves the source problem alone; an F0 at the same scale
+    shares the source's projector."""
+    base = criteria._two_qubit_program()
+    proj, scale = base.proj, base.scale
+    big = [5.0 * np.eye(6), *base.f0_blocks[1:]]
+    moved = base.with_f0(big)
+    fresh = SdpProblem(c=base.c, f0_blocks=big, fi_blocks=base.fi_blocks)
+    assert moved.scale == fresh.scale == 5.0 != scale
+    assert moved.proj is not proj
+    np.testing.assert_array_equal(moved.proj, fresh.proj)
+    assert not moved.proj.flags.writeable
+    assert base.proj is proj and base.scale == scale
+    same = base.with_f0([0.5 * np.eye(6), *base.f0_blocks[1:]])
+    assert same.scale == scale and same.proj is proj
+
+
 def test_unconverged_solve_is_undetermined():
     """A solve cut short returns max_iter, and the SDP verdict is then
     undetermined rather than a flag either way."""
