@@ -47,12 +47,28 @@ class InputError(Exception):
 
 
 def _spellings(spec: str) -> list[str]:
-    """The CLI criterion spellings of a comma list, stripped and checked."""
+    """The CLI criterion spellings of a comma list, stripped and checked:
+    at least one, each known and none repeated (a repeat would run and
+    count its criterion twice)."""
     spellings = [x.strip() for x in spec.split(",") if x.strip()]
+    if not spellings:
+        raise InputError(f"no criterion in {spec!r}")
     unknown = [x for x in spellings if x not in criteria.CRITERIA]
     if unknown:
         raise InputError(f"unknown criteria: {', '.join(unknown)}")
+    repeated = sorted({x for x in spellings if spellings.count(x) > 1})
+    if repeated:
+        raise InputError(f"repeated criteria: {', '.join(repeated)}")
     return spellings
+
+
+def _verdicts(rho, dims: tuple[int, int], spelling: str, what: str) -> list:
+    """run_all's verdicts of one criterion, named by its CLI spelling; bad
+    input when it gives none on ``what`` states."""
+    verdicts = criteria.run_all(rho, dims, criteria=[criteria.CRITERIA[spelling]])
+    if not verdicts:
+        raise InputError(f"{spelling} gives no verdict on {what} states")
+    return verdicts
 
 
 def load_statefile(path: str) -> CheckedState:
@@ -138,9 +154,12 @@ def _worker_count() -> int:
 def cmd_detect(args) -> int:
     st = load_statefile(args.statefile)
     dims = st.dims
-    wanted = (None if args.criteria == "all"
-              else [criteria.CRITERIA[x] for x in _spellings(args.criteria)])
-    verdicts = criteria.run_all(st, dims, criteria=wanted)
+    if args.criteria == "all":
+        verdicts = criteria.run_all(st, dims)
+    else:
+        # a criterion asked for by name must apply at the file's dims
+        verdicts = [v for x in _spellings(args.criteria)
+                    for v in _verdicts(st, dims, x, f"{dims[0]}x{dims[1]}")]
     doc = [v.to_json() for v in verdicts]
     if args.basis:
         try:
@@ -270,10 +289,7 @@ def _threshold_eval(family: str, crit_name: str, p: float) -> bool:
         rho, dims = states.werner_2q(p), (2, 2)
     else:
         raise InputError(f"threshold scan supports upb and werner, not {family!r}")
-    verdicts = criteria.run_all(rho, dims, criteria=[criteria.CRITERIA[crit_name]])
-    if not verdicts:
-        raise InputError(f"{crit_name} gives no verdict on {family} states")
-    return any(v.detected for v in verdicts)
+    return any(v.detected for v in _verdicts(rho, dims, crit_name, family))
 
 
 def bisect_threshold(family: str, crit_name: str, p_lo: float, p_hi: float,

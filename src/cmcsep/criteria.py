@@ -73,8 +73,8 @@ def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
     moments against sqrt((1-1/dA)(1-1/dB))."""
     st = as_state(rho, dims).oriented
     da, db = st.dims
-    # the Gell-Mann-like bases lead with the identity: drop row and column 0
-    norm = matlin.trace_norm(st.block_cm.joint[1:, 1:])
+    st.block_cm  # rho's CM passes its PSD check before its joint is read
+    norm = float(np.sum(st.bloch_singular_values))
     bound = np.sqrt((1.0 - 1.0 / da) * (1.0 - 1.0 / db))
     return _verdict("de_vicente", norm - bound,
                     {"bloch_trace_norm": norm, "bound": float(bound)})
@@ -85,7 +85,7 @@ def cmc_singular_values(rho, dims: tuple[int, int]) -> CriterionVerdict:
     basis independent by local orthogonal invariance of the trace norm."""
     st = as_state(rho, dims).oriented
     bcm = st.block_cm
-    norm = matlin.trace_norm(bcm.c)
+    norm = float(np.sum(st.c_svd[0]))
     bound = np.sqrt(max((1.0 - bcm.purity_a) * (1.0 - bcm.purity_b), 0.0))
     pa, pb = bcm.purity_a, bcm.purity_b
     if st.swapped:
@@ -109,7 +109,7 @@ def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
     st = as_state(rho, dims).oriented
     da, db = st.dims
     bcm = st.block_cm
-    _, sing, vt = np.linalg.svd(bcm.c)
+    sing, vt = st.c_svd
     na = da * da
     lhs = 2.0 * float(np.sum(sing[:na]))  # |diag(U^T C V^T)|, largest first
     deficit_a = 1.0 - bcm.purity_a
@@ -147,11 +147,12 @@ def cmc_kyfan_weyl(rho, dims: tuple[int, int], s: int = 1) -> CriterionVerdict:
         raise MatrixError("Ky-Fan refinement needs equal local dimensions")
     if not 1 <= s <= da - 1:
         raise MatrixError(f"shift s={s} outside [1, {da - 1}]")
-    bcm = as_state(rho, dims).oriented.block_cm
+    st = as_state(rho, dims).oriented
     k = da * da - da + 1 + s
-    c_norm = matlin.ky_fan_norm(bcm.c, k)
-    a_term = k * matlin.operator_norm(bcm.a) - s
-    b_term = k * matlin.operator_norm(bcm.b) - s
+    c_norm = float(np.sum(st.c_svd[0][:k]))
+    norm_a, norm_b = st.local_cm_norms
+    a_term = k * norm_a - s
+    b_term = k * norm_b - s
     return _verdict(f"cmc_kyfan_weyl_s{s}", c_norm**2 - a_term * b_term,
                     {"k": k, "s": s, "c_kyfan_norm": c_norm,
                      "a_term": a_term, "b_term": b_term})
@@ -191,10 +192,9 @@ def cmc_filter(rho, dims: tuple[int, int],
     low_rank_ppt = (int(np.sum(st.eigenvalues > matlin.DEFAULT_NOISE_EPS)) <= db
                     and not ppt(st, st.dims).detected)
     if low_rank_ppt:
-        # xi of rho / tr rho itself, its joint read through block_cm so that
-        # rho's CM is checked first
-        xi = (da * db * np.linalg.svd(st.block_cm.joint[1:, 1:], compute_uv=False)
-              / np.real(np.trace(st.rho)))
+        # xi of rho / tr rho itself, once rho's CM has passed its PSD check
+        st.block_cm
+        xi = da * db * st.bloch_singular_values / np.real(np.trace(st.rho))
         run = {"converged": False, "iterations": 0, "noise_eps": 0.0,
                "separable_by": "low_rank_ppt"}
     else:

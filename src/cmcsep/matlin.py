@@ -242,6 +242,37 @@ class CheckedState:
 
         return schmidt.operator_schmidt(self, *self.dims)
 
+    # Spectra of the real CM blocks, each one real SVD, non-increasing and
+    # read-only (verdict details hold them); the norm helpers above would
+    # check each block again and cast it to complex.
+
+    @functools.cached_property
+    def c_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values of the block CM's cross block C and its V^T, from
+        one full SVD."""
+        _, s, vt = np.linalg.svd(self.block_cm.c)
+        return _read_only(s), _read_only(vt)
+
+    @functools.cached_property
+    def local_cm_norms(self) -> tuple[float, float]:
+        """Operator norms of the block CM's local blocks A and B."""
+        bcm = self.block_cm
+        return tuple(float(np.linalg.svd(m, compute_uv=False)[0])
+                     for m in (bcm.a, bcm.b))
+
+    @functools.cached_property
+    def bloch_singular_values(self) -> np.ndarray:
+        """Singular values of the traceless-sector joint moments
+        ``joint[1:, 1:]`` (the Gell-Mann-like bases lead with the identity);
+        read from ``joint``, so no block CM is built and its PSD check is
+        the caller's."""
+        return _read_only(np.linalg.svd(self.joint[1:, 1:], compute_uv=False))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def _checked(r: np.ndarray, dims: tuple[int, int]) -> CheckedState:
     """An exactly Hermitian matrix of the right shape as a CheckedState,

@@ -75,14 +75,20 @@ def test_same_commit_and_digest_mismatch(tmp_path):
     assert "within_bound" not in setup  # not gated
 
 
-def _judged(tmp_path, pairs, gate=(("setup_s", ("lower", 0.25)),)):
-    """setup_s and peak_rss_mb of same-seed (parent, change) value pairs."""
+def _judged(tmp_path, pairs, gate=(("setup_s", ("lower", 0.25)),),
+            failed=None):
+    """setup_s and peak_rss_mb of same-seed (parent, change) value pairs,
+    with (parent, change) failure counts per pair (none by default)."""
     runs = {"parent": [], "change": []}
-    for seed, ((p, c), (prss, crss)) in enumerate(pairs):
+    failed = failed or [(0, 0)] * len(pairs)
+    for seed, (((p, c), (prss, crss)), (pf, cf)) in enumerate(
+            zip(pairs, failed, strict=True)):
         runs["parent"].append(bench_trajectory.read_run(
-            write_run(tmp_path / f"p{seed}", "w", seed, "aaa", p, rss=prss)))
+            write_run(tmp_path / f"p{seed}", "w", seed, "aaa", p, rss=prss,
+                      failed=pf)))
         runs["change"].append(bench_trajectory.read_run(
-            write_run(tmp_path / f"c{seed}", "w", seed, "bbb", c, rss=crss)))
+            write_run(tmp_path / f"c{seed}", "w", seed, "bbb", c, rss=crss,
+                      failed=cf)))
     return bench_trajectory.summarize(runs, dict(gate))["workloads"]["w"]["metrics"]
 
 
@@ -110,6 +116,19 @@ def test_gate_shows_a_gain_won_in_nine_of_ten_pairs(tmp_path):
     change[0] = 1.2
     setup = _judged(tmp_path, list(zip(zip(parent, change), rss)))["setup_s"]
     assert setup["within_bound"] and not setup["gain_shown"]
+
+
+def test_gate_shows_no_gain_where_the_change_fails_more(tmp_path):
+    """A gain won in every pair is not shown once the change's runs fail
+    more operations in all than the parent's; as many failures are fine."""
+    parent = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.1, 0.9, 1.05, 0.95]
+    pairs = list(zip(zip(parent, [0.5] * 10), [(40.0, 40.0)] * 10))
+    more = [(0, 0)] * 9 + [(0, 1)]
+    setup = _judged(tmp_path, pairs, failed=more)["setup_s"]
+    assert setup["within_bound"] and not setup["gain_shown"]
+    same = [(1, 0)] * 2 + [(0, 1)] * 2 + [(0, 0)] * 6
+    setup = _judged(tmp_path, pairs, failed=same)["setup_s"]
+    assert setup["within_bound"] and setup["gain_shown"]
 
 
 def test_gate_leaves_ties_and_small_gains_unresolved(tmp_path):

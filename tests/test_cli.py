@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmcsep import cli, covariance, filtering, matlin, observables, states
+from cmcsep import (cli, covariance, criteria, filtering, matlin, observables,
+                    states)
 from cmcsep.cli import (_worker_count, bisect_threshold, load_statefile, main,
                         run_benchmark, write_statefile)
 from cmcsep.matlin import MatrixError
@@ -301,6 +302,52 @@ def test_unknown_criterion_rejected(tmp_path, capsys):
     path = tmp_path / "w.json"
     write_statefile(str(path), states.werner_2q(0.5), (2, 2))
     assert run_cli(["detect", str(path), "--criteria", "nope"]) == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("ppt,ppt", "repeated criteria: ppt"),
+    ("ccnr, ppt,ccnr", "repeated criteria: ccnr"),
+    (",", "no criterion in ','"),
+    (" ", "no criterion in ' '"),
+])
+def test_repeated_or_empty_criteria_rejected(tmp_path, capsys, spec, message):
+    """A repeated criterion would be run and counted twice, and an empty
+    list would run nothing: both are bad input to every command taking a
+    criterion list, and nothing is written."""
+    path = tmp_path / "w.json"
+    write_statefile(str(path), states.werner_2q(0.5), (2, 2))
+    out = tmp_path / "out"
+    for argv in (["detect", str(path), "--criteria", spec, "-o", str(out)],
+                 ["threshold", "--family", "werner", "--criterion", spec],
+                 ["benchmark", "-n", "1", "--seed", "1", "--criteria", spec,
+                  "--csv", str(out)]):
+        assert run_cli(argv) == 2, argv[0]
+        assert message in capsys.readouterr().err, argv[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("dims, spec, spelling", [
+    ((3, 3), "cmc-sdp", "cmc-sdp"),
+    ((3, 3), "ppt,cmc-sdp", "cmc-sdp"),
+    ((2, 3), "cmc-kyfan", "cmc-kyfan"),
+    ((3, 2), "ccnr,cmc-kyfan,ppt", "cmc-kyfan"),
+])
+def test_detect_rejects_a_criterion_without_verdict(tmp_path, capsys, dims,
+                                                    spec, spelling):
+    """A criterion asked for by name that gives no verdict at the file's
+    dims is bad input, in threshold's wording; ``all`` still skips it."""
+    da, db = dims
+    path = tmp_path / "s.json"
+    write_statefile(str(path), states.random_density(
+        da * db, rng=np.random.default_rng(119)), dims)
+    out = tmp_path / "out.json"
+    assert run_cli(["detect", str(path), "--criteria", spec, "-o", str(out)]) == 2
+    assert (f"{spelling} gives no verdict on {da}x{db} states"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert run_cli(["detect", str(path), "-o", str(out)]) == 0
+    names = [v["name"] for v in json.loads(out.read_text())]
+    assert not any(n.startswith(criteria.CRITERIA[spelling]) for n in names)
 
 
 def test_detect_with_cm_export(tmp_path, capsys):

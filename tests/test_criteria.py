@@ -504,6 +504,37 @@ def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
     assert len(bcm_calls) == 1
 
 
+# np.linalg.svd calls per full-rank state: the operator Schmidt SVD, the one
+# full SVD of C, the operator norms of A and B when the Ky-Fan shifts run
+# (d_A = d_B), and the Bloch singular values of rho (de Vicente) and of the
+# filter normal form.  The singular-value, trace and Ky-Fan tests share C's.
+SVD_CALLS = {(2, 2): 6, (2, 3): 4, (3, 2): 4, (3, 3): 6}
+
+
+@pytest.mark.parametrize("dims", list(SVD_CALLS))
+def test_run_all_takes_each_spectrum_once(monkeypatch, dims):
+    """run_all takes each block-CM spectrum once per state, and at d_A = d_B
+    the trace test's lhs is exactly twice the singular-value test's norm,
+    both summing the one spectrum of C."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    da, db = dims
+    for i in range(3):
+        rho = states.random_density(da * db, rng=np.random.default_rng([8, i]))
+        calls.clear()
+        verdicts = {v.name: v for v in run_all(rho, dims)}
+        assert len(calls) == SVD_CALLS[dims]
+        if da == db:
+            assert (verdicts["cmc_trace"].details["lhs"]
+                    == 2 * verdicts["cmc_singular_values"].details["c_trace_norm"])
+
+
 def test_sdp_cm_is_cut_from_the_shared_block_cm(monkeypatch):
     """On a full-rank two-qubit state run_all builds one block CM, and the
     SDP takes its effective CM from it, once."""

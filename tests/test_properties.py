@@ -119,7 +119,8 @@ def test_uneven_verdicts_invariant_under_subsystem_swap(dims, seed, separable):
 def test_verdicts_and_margins_invariant_under_local_unitaries(dims, seed, separable):
     """(U_A x U_B) rho (U_A x U_B)^dagger gets the same flags, and the same
     margins within SWAP_MARGIN_TOL (LU_FILTER_MARGIN_TOL for the filter);
-    cmc_trace is compared only at d_A = d_B."""
+    cmc_trace is compared only at d_A = d_B, as are the Ky-Fan shifts,
+    which run only there."""
     da, db = dims
     rng = np.random.default_rng([99, da, db, seed])
     if separable:
@@ -133,7 +134,9 @@ def test_verdicts_and_margins_invariant_under_local_unitaries(dims, seed, separa
     _check_sound_and_ordered(there, separable)
     assert [(v.name, v.detected) for v in there] == \
         [(v.name, v.detected) for v in here]
-    compared = SWAP_MARGIN_CRITERIA + (("cmc_trace",) if da == db else ())
+    compared = SWAP_MARGIN_CRITERIA + (
+        ("cmc_trace", *(f"cmc_kyfan_weyl_s{s}" for s in range(1, da)))
+        if da == db else ())
     for v, w in zip(here, there):
         if v.name in compared:
             tol = LU_FILTER_MARGIN_TOL if v.name == "cmc_filter" else SWAP_MARGIN_TOL

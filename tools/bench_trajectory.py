@@ -17,8 +17,9 @@ For each metric that ``BENCHMARK.json`` gates (read, never written) it also
 gives the metric's ``better`` direction and ``bound``, ``within_bound`` (the
 change median is worse than the parent median by at most ``bound`` of it) and
 ``gain_shown`` (the change reads better in at least nine tenths of the pairs,
-ties counting for neither, and its median is better by more than the
-parent's q3 - q1).  It uses the standard library only.
+ties counting for neither, its median is better by more than the parent's
+q3 - q1, and its runs of the workload fail no more operations in all than
+the parent's).  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -75,15 +76,16 @@ def read_gate() -> dict[str, tuple[str, float]]:
 
 
 def judge(par: list[float], chg: list[float], ps: dict, cs: dict,
-          better: str, bound: float) -> dict:
-    """The gate's reading of one metric over same-seed pairs."""
+          more_failed: bool, better: str, bound: float) -> dict:
+    """The gate's reading of one metric over same-seed pairs; no gain shows
+    on a workload where the change fails more operations than the parent."""
     sign = 1.0 if better == "lower" else -1.0
     gain = sign * (ps["median"] - cs["median"])
     wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
     return {"better": better, "bound": bound,
             "within_bound": -gain <= bound * abs(ps["median"]),
             "gain_shown": 10 * wins >= 9 * len(par)
-                          and gain > ps["q3"] - ps["q1"]}
+                          and gain > ps["q3"] - ps["q1"] and not more_failed}
 
 
 def _same(runs: list[dict], what: str, get):
@@ -121,6 +123,9 @@ def summarize(runs: dict[str, list[dict]],
                  for s in seeds]
         metric_names = _same([r for pair in pairs for r in pair],
                              f"{name} metrics", lambda r: sorted(r["metrics"]))
+        failed = {side: [pair[i]["failed"] for pair in pairs]
+                  for i, side in enumerate(SIDES)}
+        more_failed = sum(failed["change"]) > sum(failed["parent"])
         metrics = {}
         for metric in metric_names:
             par = [p["metrics"][metric] for p, _ in pairs]
@@ -132,11 +137,10 @@ def summarize(runs: dict[str, list[dict]],
                 "change_lower_pairs": sum(c < p for p, c in zip(par, chg)),
                 "pairs": len(pairs)}
             if metric in gate:
-                metrics[metric].update(judge(par, chg, ps, cs, *gate[metric]))
+                metrics[metric].update(judge(par, chg, ps, cs, more_failed,
+                                             *gate[metric]))
         workloads[name] = {
-            "seeds": seeds, "metrics": metrics,
-            "failed": {side: [pair[i]["failed"] for pair in pairs]
-                       for i, side in enumerate(SIDES)},
+            "seeds": seeds, "metrics": metrics, "failed": failed,
             "verdict_digests_match": all(
                 p["record"]["verdict_digest"] == c["record"]["verdict_digest"]
                 for p, c in pairs)}
@@ -158,7 +162,9 @@ def summarize(runs: dict[str, list[dict]],
                  "within_bound: the change median is worse than the parent "
                  "median by at most bound of it; gain_shown: the change reads "
                  "better in at least 9/10 of the pairs (ties count for "
-                 "neither) and its median by more than the parent's q3 - q1",
+                 "neither), its median by more than the parent's q3 - q1, "
+                 "and its runs of the workload fail no more operations in "
+                 "all than the parent's",
         "commits": commits,
         "host": {"nproc": prov["nproc"], "affinity_cpus": prov["affinity_cpus"],
                  "python": prov["python"], "numpy": prov["numpy"],
