@@ -29,6 +29,10 @@ BENCHMARK_CRITERIA = ("cmc-filter", "cmc-sv", "cmc-trace", "cmc-schmidt",
 # Grid points of the monotonicity presweep before threshold bisection.
 PRESWEEP = 20
 
+# The one-parameter families of gen and threshold: name -> (state of p, dims).
+P_FAMILIES = {"upb": (states.upb_tiles, (3, 3)),
+              "werner": (states.werner_2q, (2, 2))}
+
 # The (s, t) slice of the rho_epsilon family scanned by fig1_scan, and its
 # smallest grid step: 1001^2 grid points, minutes of work.
 FIG1_S, FIG1_T = 0.45, 1.0 / 16.0
@@ -46,11 +50,12 @@ class InputError(Exception):
     """Bad command-line input or state file; maps to exit code 2."""
 
 
-def _spellings(spec: str) -> list[str]:
-    """The CLI criterion spellings of a comma list, stripped and checked:
-    at least one, each known and none repeated (a repeat would run and
-    count its criterion twice)."""
-    spellings = [x.strip() for x in spec.split(",") if x.strip()]
+def _spellings(spec) -> list[str]:
+    """The CLI criterion spellings of a comma list, stripped, or of a list,
+    checked: at least one, each known and none repeated (a repeat would run
+    and count its criterion twice)."""
+    spellings = ([x.strip() for x in spec.split(",") if x.strip()]
+                 if isinstance(spec, str) else list(spec))
     if not spellings:
         raise InputError(f"no criterion in {spec!r}")
     unknown = [x for x in spellings if x not in criteria.CRITERIA]
@@ -230,17 +235,13 @@ def _gen_state(args) -> tuple[np.ndarray, tuple[int, int], dict]:
             rho = states.sample_chessboard(rng)
             meta["seed"] = args.seed
         return rho, (3, 3), meta
-    if family == "upb":
-        rho = states.upb_tiles(args.p)
+    if family in P_FAMILIES:
+        make, dims = P_FAMILIES[family]
         meta["p"] = args.p
-        return rho, (3, 3), meta
+        return make(args.p), dims, meta
     if family == "rho-eps":
         rho = states.rho_epsilon(args.eps, args.r, args.s, args.t)
         meta.update(eps=args.eps, r=args.r, s=args.s, t=args.t)
-        return rho, (2, 2), meta
-    if family == "werner":
-        rho = states.werner_2q(args.p)
-        meta["p"] = args.p
         return rho, (2, 2), meta
     if family == "random":
         da, db = _parse_dims(args.dims)
@@ -283,18 +284,15 @@ def cmd_gen(args) -> int:
 
 
 def _threshold_eval(family: str, crit_name: str, p: float) -> bool:
-    if family == "upb":
-        rho, dims = states.upb_tiles(p), (3, 3)
-    elif family == "werner":
-        rho, dims = states.werner_2q(p), (2, 2)
-    else:
-        raise InputError(f"threshold scan supports upb and werner, not {family!r}")
-    return any(v.detected for v in _verdicts(rho, dims, crit_name, family))
+    make, dims = P_FAMILIES[family]
+    return any(v.detected for v in _verdicts(make(p), dims, crit_name, family))
 
 
 def bisect_threshold(family: str, crit_name: str, p_lo: float, p_hi: float,
                      tol: float = 1e-4) -> float:
     """Locate the detection onset by bisection after a monotonicity presweep."""
+    if family not in P_FAMILIES:
+        raise InputError(f"threshold scans {', '.join(P_FAMILIES)}, not {family!r}")
     if not (tol > 0 and 0.0 <= p_lo < p_hi <= 1.0):
         raise InputError(f"need tol > 0 and 0 <= p_lo < p_hi <= 1, got "
                          f"tol={tol}, p_lo={p_lo}, p_hi={p_hi}")
@@ -349,12 +347,14 @@ def _benchmark_one(task) -> list[tuple[int, str, float, bool]]:
 
 def run_benchmark(n: int, seed: int, crit_names: list[str],
                   workers: int | None = None):
-    """Evaluate the chessboard ensemble; returns (rows, fractions).
+    """Evaluate the chessboard ensemble on the criteria ``crit_names``, CLI
+    spellings checked as the commands check them; returns (rows, fractions).
 
     Rows are ordered by sample index whatever the worker count; each sample
     draws from its own rng stream keyed by (seed, index).  Rows and
     fractions are keyed by the labels of ``_benchmark_labels``.
     """
+    crit_names = _spellings(crit_names)
     if "cmc-sdp" in crit_names:
         raise InputError("cmc-sdp runs on two qubits only; the chessboard "
                          "ensemble is 3x3")
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("threshold", help="bisect a detection threshold in p")
-    p.add_argument("--family", default="upb", choices=["upb", "werner"])
+    p.add_argument("--family", default="upb", choices=list(P_FAMILIES))
     p.add_argument("--criterion", required=True)
     p.add_argument("--p-lo", type=float, default=0.0)
     p.add_argument("--p-hi", type=float, default=1.0)

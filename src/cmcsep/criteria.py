@@ -73,7 +73,6 @@ def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
     moments against sqrt((1-1/dA)(1-1/dB))."""
     st = as_state(rho, dims).oriented
     da, db = st.dims
-    st.block_cm  # rho's CM passes its PSD check before its joint is read
     norm = float(np.sum(st.bloch_singular_values))
     bound = np.sqrt((1.0 - 1.0 / da) * (1.0 - 1.0 / db))
     return _verdict("de_vicente", norm - bound,
@@ -192,8 +191,7 @@ def cmc_filter(rho, dims: tuple[int, int],
     low_rank_ppt = (int(np.sum(st.eigenvalues > matlin.DEFAULT_NOISE_EPS)) <= db
                     and not ppt(st, st.dims).detected)
     if low_rank_ppt:
-        # xi of rho / tr rho itself, once rho's CM has passed its PSD check
-        st.block_cm
+        # xi of rho / tr rho itself
         xi = da * db * st.bloch_singular_values / np.real(np.trace(st.rho))
         run = {"converged": False, "iterations": 0, "noise_eps": 0.0,
                "separable_by": "low_rank_ppt"}
@@ -227,29 +225,6 @@ def _traceless_sym_basis_3() -> list[np.ndarray]:
 
 @functools.lru_cache(maxsize=1)
 def _two_qubit_program() -> sdpsolve.SdpProblem:
-    """The program below at gamma_eff = 0: everything but F0's big block is
-    independent of the state, so it is built once per process and shared,
-    read-only, by every solve."""
-    basis = _traceless_sym_basis_3()
-    m = 11
-    c = np.zeros(m)
-    c[0] = -1.0  # min -lambda
-
-    f0_blocks = [-np.eye(6) / 3.0, np.eye(3) / 3.0, np.eye(3) / 3.0]
-    fi = [np.zeros((m, 6, 6)), np.zeros((m, 3, 3)), np.zeros((m, 3, 3))]
-    fi[0][0] = -np.eye(6) / 3.0
-    fi[1][0] = np.eye(3) / 3.0
-    fi[2][0] = np.eye(3) / 3.0
-    for k, e in enumerate(basis):
-        ia, ib = 1 + k, 6 + k
-        fi[0][ia, :3, :3] = 0.5 * e
-        fi[0][ib, 3:, 3:] = 0.5 * e
-        fi[1][ia] = -0.5 * e
-        fi[2][ib] = -0.5 * e
-    return sdpsolve.SdpProblem(c=c, f0_blocks=f0_blocks, fi_blocks=fi)
-
-
-def _two_qubit_sdp_problem(gamma_eff: np.ndarray) -> sdpsolve.SdpProblem:
     """Program: maximize lambda over kappa_A/B = ((1+lambda)1 - rho_{A,B})/2
     with rho_{A,B} symmetric of trace 1+lambda, subject to kappa_A/B >= 0 and
     gamma_eff - kappa_A (+) kappa_B >= 0.
@@ -260,10 +235,25 @@ def _two_qubit_sdp_problem(gamma_eff: np.ndarray) -> sdpsolve.SdpProblem:
     degenerate and the gap tolerance unreachable.  kappa then reads
     (1+lambda)/3 1 - traceless/2, so the lambda column carries -1/3 on the
     big block and +1/3 on the kappa blocks, and F0 is gamma_eff - 1/3 (+)
-    1/3 (+) 1/3.
+    1/3 (+) 1/3.  Only F0 depends on the state, so the program is built
+    once per process and shared, read-only, by every solve.
     """
-    base = _two_qubit_program()
-    return base.with_f0([gamma_eff + base.f0_blocks[0], *base.f0_blocks[1:]])
+    basis = _traceless_sym_basis_3()
+    m = 11
+    c = np.zeros(m)
+    c[0] = -1.0  # min -lambda
+
+    fi = [np.zeros((m, 6, 6)), np.zeros((m, 3, 3)), np.zeros((m, 3, 3))]
+    fi[0][0] = -np.eye(6) / 3.0
+    fi[1][0] = np.eye(3) / 3.0
+    fi[2][0] = np.eye(3) / 3.0
+    for k, e in enumerate(basis):
+        ia, ib = 1 + k, 6 + k
+        fi[0][ia, :3, :3] = 0.5 * e
+        fi[0][ib, 3:, 3:] = 0.5 * e
+        fi[1][ia] = -0.5 * e
+        fi[2][ib] = -0.5 * e
+    return sdpsolve.SdpProblem(c=c, fi_blocks=fi)
 
 
 def extract_lur_from_witness(z1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +305,10 @@ def cmc_sdp_2q(rho, max_iter: int = sdpsolve.DEFAULT_MAX_ITER) -> CriterionVerdi
     """
     st, noise_eps = as_state(rho, (2, 2)).mixed()
     gamma_eff = covariance.two_qubit_effective_cm(st)
-    problem = _two_qubit_sdp_problem(gamma_eff)
-    sol = sdpsolve.solve(problem, max_iter=max_iter)
+    third = np.eye(3) / 3.0
+    sol = sdpsolve.solve(_two_qubit_program(),
+                         [gamma_eff - np.eye(6) / 3.0, third, third],
+                         max_iter=max_iter)
     if sol.status != "optimal":
         return CriterionVerdict(
             name="cmc_sdp_2q", detected=None, margin=float("nan"),
@@ -357,7 +349,8 @@ CRITERIA = {
 
 def run_all(rho, dims: tuple[int, int],
             criteria: list[str] | None = None) -> list[CriterionVerdict]:
-    """Evaluate every applicable criterion in a fixed order, all on one
+    """Evaluate every applicable criterion in a fixed order, or each of
+    ``criteria`` (known and none repeated) in the order given, all on one
     CheckedState.
 
     The Ky-Fan family expands to one verdict per shift s; the SDP only runs
@@ -369,6 +362,8 @@ def run_all(rho, dims: tuple[int, int],
     for name in wanted:
         if name not in CRITERIA.values():
             raise MatrixError(f"unknown criterion {name!r}")
+        if wanted.count(name) > 1:
+            raise MatrixError(f"repeated criterion {name!r}")
     out: list[CriterionVerdict] = []
     for name in wanted:
         # looked up by name at call time, so rebinding a criterion applies

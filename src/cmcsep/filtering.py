@@ -34,7 +34,7 @@ class NormalForm:
 
     ``state`` is rho_tilde = (F_A x F_B) rho (F_A x F_B)^dagger / norm with
     unit determinant filters; ``xi`` holds the non-increasing coefficients
-    d_A d_B state.bloch_singular_values over traceless local observables, so
+    d_A d_B svd(state.joint[1:, 1:]) over traceless local observables, so
     the separability thresholds downstream are exactly d^2 - d and friends.
     """
 
@@ -152,10 +152,10 @@ def normal_form(rho, dims: tuple[int, int],
         f_b = b @ f_b
         history.append(f_val)
 
-    # every iterate is exactly Hermitian: no second check
+    # every iterate is exactly Hermitian: no second check, and no block CM
     state = matlin._checked(r, (da, db))
     return NormalForm(
-        xi=da * db * state.bloch_singular_values,
+        xi=da * db * np.linalg.svd(state.joint[1:, 1:], compute_uv=False),
         filter_a=f_a,
         filter_b=f_b,
         state=state,

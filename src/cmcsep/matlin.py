@@ -263,10 +263,10 @@ class CheckedState:
     @functools.cached_property
     def bloch_singular_values(self) -> np.ndarray:
         """Singular values of the traceless-sector joint moments
-        ``joint[1:, 1:]`` (the Gell-Mann-like bases lead with the identity);
-        read from ``joint``, so no block CM is built and its PSD check is
-        the caller's."""
-        return _read_only(np.linalg.svd(self.joint[1:, 1:], compute_uv=False))
+        ``joint[1:, 1:]`` (the Gell-Mann-like bases lead with the identity),
+        read through ``block_cm``, so the state's CM is checked first."""
+        return _read_only(np.linalg.svd(self.block_cm.joint[1:, 1:],
+                                        compute_uv=False))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ variables, blocks of a few rows), so robustness is favored throughout.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,17 +37,17 @@ def _data(a, what: str) -> np.ndarray:
 
 
 class SdpProblem:
-    """Objective vector c and symmetric block-diagonal constraint matrices.
+    """Objective vector c and symmetric block-diagonal coefficient matrices.
 
-    ``f0_blocks[b]`` is the constant block; ``fi_blocks[b]`` stacks the m
-    coefficient blocks as an (m, n_b, n_b) array.  The problem also holds
-    what the solver iterates on: F0 and the F_i embedded as dense
-    block-diagonal matrices, ``amat`` = the F_i flattened into rows, the
-    objective ``scale`` and the Gram projector ``proj``.  Every array is a
-    read-only copy, so ``with_f0`` can share all that does not depend on F0.
+    ``fi_blocks[b]`` stacks the m coefficient blocks of block b as an
+    (m, n_b, n_b) array; the constant term F0 is an argument of ``solve``,
+    so one problem serves every F0.  The problem also holds what the solver
+    iterates on: the F_i embedded as dense block-diagonal matrices ``fi``,
+    ``amat`` = the F_i flattened into rows and the Gram projector ``proj``,
+    every array a read-only copy.
     """
 
-    def __init__(self, c, f0_blocks, fi_blocks):
+    def __init__(self, c, fi_blocks):
         self.c = _data(c, "c").ravel()
         self.fi_blocks = fi = [_data(b, "an Fi block stack") for b in fi_blocks]
         if not fi:
@@ -64,10 +63,13 @@ class SdpProblem:
         self.blocks = [slice(e - bi.shape[1], e) for e, bi in zip(ends, fi)]
         self.fi = self._embed(fi, (m,))
         self.amat = self.fi.reshape(m, ends[-1] ** 2)
-        self.scale = None
-        self._set_f0(f0_blocks)
+        # amat^T gram^-1 (gram is symmetric), its ridge on the F_i's scale
+        ridge = 1e-12 * float(np.max(np.abs(self.fi), initial=1.0)) ** 2
+        gram = self.amat @ self.amat.T + ridge * np.eye(m)
+        self.proj = np.linalg.solve(gram, self.amat).T
+        self.proj.flags.writeable = False
 
-    def _embed(self, mats, lead: tuple) -> np.ndarray:
+    def _embed(self, mats, lead: tuple = ()) -> np.ndarray:
         """The blocks ``mats`` (leading axes ``lead``) as one read-only array."""
         ntot = self.blocks[-1].stop
         dense = np.zeros((*lead, ntot, ntot))
@@ -76,9 +78,8 @@ class SdpProblem:
         dense.flags.writeable = False
         return dense
 
-    def _set_f0(self, f0_blocks) -> None:
-        """Check and embed F0; the projector is rebuilt only when F0 moves
-        ``scale`` off the stored one."""
+    def _constant(self, f0_blocks) -> np.ndarray:
+        """F0 from its blocks, checked against the F_i's and embedded."""
         f0 = [_data(b, "an F0 block") for b in f0_blocks]
         if len(f0) != len(self.blocks):
             raise SdpError("need one F0 block per Fi block stack")
@@ -89,30 +90,11 @@ class SdpProblem:
                                f"({nb}, {nb})")
             if np.max(np.abs(b0 - b0.T)) > 1e-12 * max(1.0, np.max(np.abs(b0))):
                 raise SdpError("F0 block is not symmetric")
-        self.f0_blocks, self.f0 = f0, self._embed(f0, ())
-        m = self.n_vars
-        scale = max(1.0, float(np.max(np.abs(self.f0))),
-                    float(np.max(np.abs(self.c))) if m else 1.0)
-        if scale != self.scale:
-            # amat^T gram^-1 (gram is symmetric)
-            gram = self.amat @ self.amat.T + 1e-12 * scale**2 * np.eye(m)
-            self.proj = np.linalg.solve(gram, self.amat).T
-            self.proj.flags.writeable = False
-            self.scale = scale
-
-    def with_f0(self, f0_blocks) -> SdpProblem:
-        """The same program with another constant term F0."""
-        out = copy.copy(self)
-        out._set_f0(f0_blocks)
-        return out
+        return self._embed(f0)
 
     @property
     def n_vars(self) -> int:
         return self.c.size
-
-    @property
-    def block_dims(self) -> list[int]:
-        return [b.shape[0] for b in self.f0_blocks]
 
 
 @dataclass(frozen=True)
@@ -150,15 +132,21 @@ def _max_step(f: np.ndarray, d: np.ndarray) -> float:
     return min(1.0, _STEP_FRACTION / -wmin) if wmin < 0 else 1.0
 
 
-def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
-    """Run the interior-point iteration until the duality gap and both
-    feasibility residuals drop below ``DEFAULT_TOL``.
+def solve(problem: SdpProblem, f0_blocks,
+          max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
+    """Run the interior-point iteration on ``problem`` with the constant
+    term F0 given by ``f0_blocks``, one symmetric block per Fi block stack,
+    until the duality gap and both feasibility residuals drop below
+    ``DEFAULT_TOL``.
 
     A run that stalls or exhausts ``max_iter`` returns its best iterate
     with status ``max_iter``.
     """
+    f0 = problem._constant(f0_blocks)
     m = problem.n_vars
-    c, blocks, scale = problem.c, problem.blocks, problem.scale
+    c, blocks = problem.c, problem.blocks
+    scale = max(1.0, float(np.max(np.abs(f0))),
+                float(np.max(np.abs(c))) if m else 1.0)
     ntot = blocks[-1].stop
     # S, Z and the F_i are iterated as dense block-diagonal ntot x ntot
     # matrices.  Products and eigendecompositions keep the off-block entries
@@ -167,7 +155,7 @@ def solve(problem: SdpProblem, max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     # A*(Z) = amat @ vec(Z).  Dual steps are re-projected onto A*(dZ) = rd
     # exactly (proj is amat^T gram^-1), so roundoff from the (increasingly
     # ill-conditioned) Schur solves never accumulates in the dual residual.
-    f0, fi, amat, proj = problem.f0, problem.fi, problem.amat, problem.proj
+    fi, amat, proj = problem.fi, problem.amat, problem.proj
     f0vec = f0.ravel()
 
     def sym(a):

@@ -554,16 +554,53 @@ def test_gen_rejects_non_finite_state(tmp_path, capsys):
     assert not out.exists()
 
 
+def _readme_block(heading: str, fence: str) -> str:
+    """The first ``fence`` code block of README's section ``heading``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(f"## {heading}\n")[1]
+    return section.split(f"```{fence}\n")[1].split("```")[0]
+
+
 def test_readme_command_lines_parse():
     """Every cmcsep line of README's command-line block parses."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text(encoding="utf-8").split("## Command line")[1]
-    block = block.split("```sh")[1].split("```")[0]
+    block = _readme_block("Command line", "sh")
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     lines = [words for words in lines if words[:1] == ["cmcsep"]]
     assert len(lines) >= 7
     for words in lines:
         cli.build_parser().parse_args(words[1:])
+
+
+def test_readme_quick_start_runs(capsys):
+    """README's library quick start runs as written: it prints one line per
+    run_all verdict on upb_tiles(0.9), which PPT misses and the filter test
+    catches, and its own asserts hold."""
+    namespace = {}
+    exec(compile(_readme_block("Library quick start", "python"), "README.md",
+                 "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(criteria.run_all(states.upb_tiles(0.9), (3, 3)))
+    printed = dict(line.split()[:2] for line in lines)
+    assert printed["ppt"] == "detected=False"
+    assert printed["cmc_filter"] == "detected=True"
+
+
+@pytest.mark.parametrize("names, message", [
+    (["cmc-filter", "cmc-filter"], "repeated criteria: cmc-filter"),
+    (["cmc-filter", "bogus"], "unknown criteria: bogus"),
+    ([], "no criterion in []"),
+])
+def test_run_benchmark_checks_its_criteria(monkeypatch, names, message):
+    """run_benchmark checks its spellings as the commands do, before it
+    draws a state: a repeat would be counted twice (a fraction of 1.9) and
+    an empty list would return nothing."""
+    def draw(rng):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(states, "sample_chessboard", draw)
+    with pytest.raises(cli.InputError) as exc:
+        run_benchmark(20, 1, names, workers=1)
+    assert str(exc.value) == message
 
 
 def test_benchmark_negative_seed_exit_code(capsys):

@@ -416,8 +416,12 @@ def test_run_all_ordering_and_coverage():
 
 
 def test_run_all_rejects_unknown():
+    """An unknown name is rejected, and so is a repeated one, which would
+    be run and returned twice."""
     with pytest.raises(MatrixError):
         run_all(states.werner_2q(0.5), (2, 2), criteria=["bogus"])
+    with pytest.raises(MatrixError, match="repeated criterion 'ppt'"):
+        run_all(states.werner_2q(0.5), (2, 2), criteria=["ppt", "ppt"])
 
 
 def test_verdict_json_roundtrip():

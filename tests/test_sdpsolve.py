@@ -5,7 +5,7 @@ import pytest
 
 from cmcsep import criteria, matlin, sdpsolve, states
 from cmcsep.covariance import two_qubit_effective_cm
-from cmcsep.criteria import SDP_EPS_MARGIN, _two_qubit_sdp_problem, cmc_sdp_2q
+from cmcsep.criteria import SDP_EPS_MARGIN, _two_qubit_program, cmc_sdp_2q
 from cmcsep.sdpsolve import SdpProblem, SdpError, solve
 
 
@@ -34,18 +34,18 @@ def _reference_step(blocks, dirs) -> float:
         _reference_min_eig_step(b, d) for b, d in zip(blocks, dirs)))
 
 
-def reference_solve_core(problem: SdpProblem, tol: float,
+def reference_solve_core(problem: SdpProblem, f0, tol: float,
                           max_iter: int) -> sdpsolve.SdpSolution:
     """The interior-point iteration with per-block tensordot and einsum
     contractions, kept to check the stacked-matrix solver against."""
     m = problem.n_vars
-    f0 = problem.f0_blocks
     fi = problem.fi_blocks
-    dims = problem.block_dims
+    dims = [b.shape[1] for b in fi]
     ntot = sum(dims)
     nblocks = len(dims)
     scale = max(1.0, max(float(np.max(np.abs(b))) for b in f0),
                 float(np.max(np.abs(problem.c))) if m else 1.0)
+    fi_scale = max(1.0, max(float(np.max(np.abs(b))) for b in fi))
 
     x = np.zeros(m)
     s = [scale * np.eye(nb) for nb in dims]
@@ -56,7 +56,7 @@ def reference_solve_core(problem: SdpProblem, tol: float,
     # roundoff from the (increasingly ill-conditioned) Schur solves never
     # accumulates in the dual residual.
     amat = np.hstack([fi[b].reshape(m, dims[b] * dims[b]) for b in range(nblocks)])
-    gram = amat @ amat.T + 1e-12 * scale**2 * np.eye(m)
+    gram = amat @ amat.T + 1e-12 * fi_scale**2 * np.eye(m)
 
     def project_dz(dz, target):
         vec = np.concatenate([d.ravel() for d in dz])
@@ -204,18 +204,24 @@ def reference_solve_core(problem: SdpProblem, tol: float,
 
 def test_trivial_feasibility():
     """F0 = 1 with a null objective is solved at gap zero."""
-    prob = SdpProblem(c=np.zeros(1), f0_blocks=[np.eye(3)],
-                      fi_blocks=[np.eye(3)[None, :, :]])
-    sol = solve(prob)
+    prob = SdpProblem(c=np.zeros(1), fi_blocks=[np.eye(3)[None, :, :]])
+    sol = solve(prob, [np.eye(3)])
     assert sol.status == "optimal"
+    assert abs(sol.gap) <= 1e-8
+
+
+def test_program_without_variables():
+    """With no F_i, the solve only checks that F0 >= 0: F0 = 1 is optimal."""
+    prob = SdpProblem(c=np.zeros(0), fi_blocks=[np.zeros((0, 2, 2))])
+    sol = solve(prob, [np.eye(2)])
+    assert sol.status == "optimal" and sol.x.shape == (0,)
     assert abs(sol.gap) <= 1e-8
 
 
 def test_embedded_lp():
     """min x subject to x >= 2."""
-    prob = SdpProblem(c=np.array([1.0]), f0_blocks=[np.array([[-2.0]])],
-                      fi_blocks=[np.ones((1, 1, 1))])
-    sol = solve(prob)
+    prob = SdpProblem(c=np.array([1.0]), fi_blocks=[np.ones((1, 1, 1))])
+    sol = solve(prob, [np.array([[-2.0]])])
     assert sol.status == "optimal"
     assert abs(sol.x[0] - 2.0) < 1e-6
     assert abs(sol.gap) <= 1e-8
@@ -226,9 +232,8 @@ def test_two_block_projection_problem():
     rng = np.random.default_rng(90)
     a = rng.normal(size=(4, 4))
     a = (a + a.T) / 2
-    prob = SdpProblem(c=np.array([1.0]), f0_blocks=[-a],
-                      fi_blocks=[np.eye(4)[None, :, :]])
-    sol = solve(prob)
+    prob = SdpProblem(c=np.array([1.0]), fi_blocks=[np.eye(4)[None, :, :]])
+    sol = solve(prob, [-a])
     assert sol.status == "optimal"
     assert abs(sol.x[0] - np.linalg.eigvalsh(a)[-1]) < 1e-6
 
@@ -237,9 +242,8 @@ def test_weak_duality_and_dual_feasibility():
     rng = np.random.default_rng(91)
     a = rng.normal(size=(3, 3))
     a = (a + a.T) / 2
-    prob = SdpProblem(c=np.array([1.0]), f0_blocks=[-a],
-                      fi_blocks=[np.eye(3)[None, :, :]])
-    sol = solve(prob)
+    prob = SdpProblem(c=np.array([1.0]), fi_blocks=[np.eye(3)[None, :, :]])
+    sol = solve(prob, [-a])
     # c^T x + tr(F0 Z) = tr(F(x) Z) >= 0 up to solver tolerance
     assert sol.gap >= -1e-7
     for i, fi in enumerate([np.eye(3)]):
@@ -249,34 +253,32 @@ def test_weak_duality_and_dual_feasibility():
 
 
 def test_complementary_slackness():
-    prob = SdpProblem(c=np.array([1.0]), f0_blocks=[np.diag([-2.0, -1.0])],
-                      fi_blocks=[np.eye(2)[None, :, :]])
-    sol = solve(prob)
+    prob = SdpProblem(c=np.array([1.0]), fi_blocks=[np.eye(2)[None, :, :]])
+    sol = solve(prob, [np.diag([-2.0, -1.0])])
     prod = sol.s_blocks[0] @ sol.z_blocks[0]
     assert np.linalg.norm(prod) <= 10 * 1e-8 * 10  # scale slack on tiny blocks
 
 
 def test_infeasible_problem_certificate():
     """x >= 2 and x <= 0 simultaneously has a Farkas dual ray."""
+    f0 = np.diag([-2.0, 0.0])
     f1 = np.array([np.diag([1.0, -1.0])])
-    prob = SdpProblem(c=np.zeros(1), f0_blocks=[np.diag([-2.0, 0.0])],
-                      fi_blocks=[f1])
-    sol = solve(prob)
+    sol = solve(SdpProblem(c=np.zeros(1), fi_blocks=[f1]), [f0])
     assert sol.status == "infeasible"
     zray = sol.z_blocks[0]
     assert abs(np.tensordot(f1[0], zray, axes=2)) < 1e-6
-    assert np.tensordot(prob.f0_blocks[0], zray, axes=2) < 0
+    assert np.tensordot(f0, zray, axes=2) < 0
 
 
-def _lp_and_eigen_problem(a: np.ndarray, lp_first: bool) -> SdpProblem:
+def _lp_and_eigen_problem(a: np.ndarray, lp_first: bool):
     """min t subject to t >= 2 (a 1x1 block) and t 1 - A >= 0 (a 3x3 block),
-    whose optimum is max(2, lambda_max(A))."""
+    whose optimum is max(2, lambda_max(A)), and its F0 blocks."""
     blocks = [(np.array([[-2.0]]), np.ones((1, 1, 1))),
               (-a, np.eye(3)[None, :, :])]
     if not lp_first:
         blocks.reverse()
-    return SdpProblem(c=np.array([1.0]), f0_blocks=[b[0] for b in blocks],
-                      fi_blocks=[b[1] for b in blocks])
+    return (SdpProblem(c=np.array([1.0]), fi_blocks=[b[1] for b in blocks]),
+            [b[0] for b in blocks])
 
 
 @pytest.mark.parametrize("lp_first", [True, False])
@@ -287,15 +289,15 @@ def test_mixed_lp_and_matrix_blocks(lp_first, shift):
     g = np.random.default_rng(94).normal(size=(3, 3))
     a = (g + g.T) / 2
     a += (shift - np.linalg.eigvalsh(a)[-1]) * np.eye(3)  # lambda_max = shift
-    prob = _lp_and_eigen_problem(a, lp_first)
-    sol = solve(prob)
+    prob, f0_blocks = _lp_and_eigen_problem(a, lp_first)
+    sol = solve(prob, f0_blocks)
     assert sol.status == "optimal"
     assert abs(sol.x[0] - max(2.0, shift)) < 1e-6
     assert abs(sol.gap) <= 1e-8
     shapes = [(1, 1), (3, 3)] if lp_first else [(3, 3), (1, 1)]
     assert [b.shape for b in sol.s_blocks] == shapes
     assert [b.shape for b in sol.z_blocks] == shapes
-    for f0, fi, sb, zb in zip(prob.f0_blocks, prob.fi_blocks,
+    for f0, fi, sb, zb in zip(f0_blocks, prob.fi_blocks,
                               sol.s_blocks, sol.z_blocks):
         assert np.max(np.abs(f0 + sol.x[0] * fi[0] - sb)) < 1e-7
         assert np.linalg.eigvalsh(zb)[0] > -1e-9
@@ -304,7 +306,7 @@ def test_mixed_lp_and_matrix_blocks(lp_first, shift):
     active, idle = (z_lp, z_eig) if shift < 2 else (z_eig, z_lp)
     assert abs(np.trace(active) - 1.0) < 1e-6
     assert abs(np.trace(idle)) < 1e-6
-    ref = reference_solve_core(prob, sdpsolve.DEFAULT_TOL,
+    ref = reference_solve_core(prob, f0_blocks, sdpsolve.DEFAULT_TOL,
                                sdpsolve.DEFAULT_MAX_ITER)
     assert ref.status == sol.status
     assert abs(ref.x[0] - sol.x[0]) <= 1e-7
@@ -323,13 +325,18 @@ def test_singlet_cmc_negative_lambda():
     assert cmc_filter(rho, (2, 2)).detected
 
 
+def _two_qubit_f0(rho) -> list[np.ndarray]:
+    """cmc_sdp_2q's F0 blocks for a state: gamma_eff - 1/3 (+) 1/3 (+) 1/3."""
+    third = np.eye(3) / 3.0
+    return [two_qubit_effective_cm(rho) - np.eye(6) / 3.0, third, third]
+
+
 def test_random_solves_reach_gap():
     rng = np.random.default_rng(92)
 
     for _ in range(30):
         rho = states.random_density(4, rng=rng)
-        prob = _two_qubit_sdp_problem(two_qubit_effective_cm(rho))
-        sol = solve(prob)
+        sol = solve(_two_qubit_program(), _two_qubit_f0(rho))
         assert sol.status == "optimal"
         assert abs(sol.gap) <= 1e-8 * 1.5
         assert sol.primal_residual < 1e-7
@@ -338,26 +345,33 @@ def test_random_solves_reach_gap():
 
 def test_problem_validation():
     with pytest.raises(SdpError):
-        SdpProblem(c=np.zeros(1), f0_blocks=[], fi_blocks=[])
+        SdpProblem(c=np.zeros(1), fi_blocks=[])
     with pytest.raises(SdpError):
-        SdpProblem(c=np.zeros(2), f0_blocks=[np.eye(2)],
-                   fi_blocks=[np.zeros((1, 2, 2))])
-    with pytest.raises(SdpError):
-        asym = np.array([[0.0, 1.0], [0.0, 0.0]])
-        SdpProblem(c=np.zeros(1), f0_blocks=[asym],
-                   fi_blocks=[np.zeros((1, 2, 2))])
+        SdpProblem(c=np.zeros(2), fi_blocks=[np.zeros((1, 2, 2))])
+    with pytest.raises(SdpError, match="not symmetric"):
+        SdpProblem(c=np.zeros(1), fi_blocks=[np.triu(np.ones((2, 2)))[None]])
+    # F0 is checked by solve: one symmetric block of the right shape per
+    # Fi block stack
+    prob = SdpProblem(c=np.zeros(1), fi_blocks=[np.zeros((1, 2, 2))])
+    for f0, message in [([], "one F0 block per"),
+                        ([np.eye(2), np.eye(2)], "one F0 block per"),
+                        ([np.eye(3)], "F0 block has shape"),
+                        ([np.array([[0.0, 1.0], [0.0, 0.0]])], "not symmetric")]:
+        with pytest.raises(SdpError, match=message):
+            solve(prob, f0)
     # non-finite data: a NaN in c used to come back "optimal" with a NaN gap
     for c, f0, f1 in [([np.nan], [[1.0]], 1.0), ([1.0], [[np.inf]], 1.0),
                       ([1.0], [[1.0]], np.nan)]:
         with pytest.raises(SdpError, match="non-finite"):
-            SdpProblem(c=c, f0_blocks=[f0], fi_blocks=[np.full((1, 1, 1), f1)])
+            solve(SdpProblem(c=c, fi_blocks=[np.full((1, 1, 1), f1)]), [f0])
 
 
-def _two_qubit_problems(n: int) -> list[SdpProblem]:
-    """Seeded CMC programs: n random full-rank states alternating with
-    separable mixtures, so both verdicts occur, then a pure, a product, a
-    rank-2 and a rank-3 state.  The last four are noise-mixed as
-    cmc_sdp_2q mixes them, so their gamma_eff is near singular."""
+def _two_qubit_problems(n: int) -> list[tuple[SdpProblem, list]]:
+    """Seeded CMC programs with their F0: n random full-rank states
+    alternating with separable mixtures, so both verdicts occur, then a
+    pure, a product, a rank-2 and a rank-3 state.  The last four are
+    noise-mixed as cmc_sdp_2q mixes them, so their gamma_eff is near
+    singular."""
     rng = np.random.default_rng(93)
     rhos = [states.random_density(4, rng=rng) if i % 2 == 0 else
             states.random_separable(2, 2, int(rng.integers(4, 16)), rng=rng)
@@ -365,23 +379,22 @@ def _two_qubit_problems(n: int) -> list[SdpProblem]:
     rhos += [states.werner_2q(1.0), np.diag([0.0, 1.0, 0.0, 0.0]),
              states.random_density(4, rank=2, rng=rng),
              states.random_density(4, rank=3, rng=rng)]
-    out = []
-    for rho in rhos:
-        st, _ = matlin.as_state(rho, (2, 2)).mixed()
-        out.append(_two_qubit_sdp_problem(two_qubit_effective_cm(st)))
-    return out
+    return [(_two_qubit_program(),
+             _two_qubit_f0(matlin.as_state(rho, (2, 2)).mixed()[0]))
+            for rho in rhos]
 
 
-def _small_problems() -> list[SdpProblem]:
-    """The embedded LP, the top-eigenvalue program and an infeasible one."""
+def _small_problems() -> list[tuple[SdpProblem, list]]:
+    """The embedded LP, the top-eigenvalue program and an infeasible one,
+    with their F0."""
     a = np.random.default_rng(90).normal(size=(4, 4))
     return [
-        SdpProblem(c=np.array([1.0]), f0_blocks=[np.array([[-2.0]])],
-                   fi_blocks=[np.ones((1, 1, 1))]),
-        SdpProblem(c=np.array([1.0]), f0_blocks=[-(a + a.T) / 2],
-                   fi_blocks=[np.eye(4)[None, :, :]]),
-        SdpProblem(c=np.zeros(1), f0_blocks=[np.diag([-2.0, 0.0])],
-                   fi_blocks=[np.array([np.diag([1.0, -1.0])])]),
+        (SdpProblem(c=np.array([1.0]), fi_blocks=[np.ones((1, 1, 1))]),
+         [np.array([[-2.0]])]),
+        (SdpProblem(c=np.array([1.0]), fi_blocks=[np.eye(4)[None, :, :]]),
+         [-(a + a.T) / 2]),
+        (SdpProblem(c=np.zeros(1), fi_blocks=[np.array([np.diag([1.0, -1.0])])]),
+         [np.diag([-2.0, 0.0])]),
     ]
 
 
@@ -392,9 +405,9 @@ def test_solver_matches_contraction_reference():
     any change of rounding.  Iteration counts may differ in the end phase."""
     tol, max_iter = sdpsolve.DEFAULT_TOL, sdpsolve.DEFAULT_MAX_ITER
     verdicts = set()
-    for prob in _two_qubit_problems(60) + _small_problems():
-        new = solve(prob, max_iter=max_iter)
-        ref = reference_solve_core(prob, tol, max_iter)
+    for prob, f0 in _two_qubit_problems(60) + _small_problems():
+        new = solve(prob, f0, max_iter=max_iter)
+        ref = reference_solve_core(prob, f0, tol, max_iter)
         assert new.status == ref.status
         assert abs(new.x[0] - ref.x[0]) <= 1e-7
         if prob.n_vars == 11:
@@ -409,9 +422,9 @@ def test_solver_matches_contraction_reference():
 def test_early_iterates_match_contraction_reference(max_iter):
     """Before the end phase the trajectory is deterministic, so truncated
     runs must agree with the reference to rounding in x, S and Z."""
-    for prob in _two_qubit_problems(6) + _small_problems():
-        new = solve(prob, max_iter=max_iter)
-        ref = reference_solve_core(prob, sdpsolve.DEFAULT_TOL, max_iter)
+    for prob, f0 in _two_qubit_problems(6) + _small_problems():
+        new = solve(prob, f0, max_iter=max_iter)
+        ref = reference_solve_core(prob, f0, sdpsolve.DEFAULT_TOL, max_iter)
         assert new.iterations == ref.iterations
         assert np.max(np.abs(new.x - ref.x)) <= 1e-11
         for got, want in zip(new.s_blocks + new.z_blocks,
@@ -420,54 +433,50 @@ def test_early_iterates_match_contraction_reference(max_iter):
 
 
 def test_two_qubit_program_is_built_once(monkeypatch):
-    """Two cmc_sdp_2q calls solve programs that share the state-independent
-    data (c, the F_i, their embedding, amat and the Gram projector), all of
-    it read-only, and differ only in F0."""
+    """Two cmc_sdp_2q calls solve the one constant program, whose
+    state-independent data (c, the F_i, their embedding, amat and the Gram
+    projector) is all read-only; only the F0 passed to solve differs."""
     solved = []
 
-    def record(problem, **kwargs):
-        solved.append(problem)
-        return solve(problem, **kwargs)
+    def record(problem, f0_blocks, **kwargs):
+        solved.append((problem, f0_blocks))
+        return solve(problem, f0_blocks, **kwargs)
 
     monkeypatch.setattr(sdpsolve, "solve", record)
     cmc_sdp_2q(states.werner_2q(0.5))
     cmc_sdp_2q(states.werner_2q(0.2))
-    first, second = solved
-    assert first.scale == second.scale == 1.0
+    (first, f0_first), (second, f0_second) = solved
+    assert first is second is criteria._two_qubit_program()
     for name in ("c", "fi", "amat", "proj"):
-        assert getattr(first, name) is getattr(second, name)
         assert not getattr(first, name).flags.writeable
-    for a, b in zip(first.fi_blocks, second.fi_blocks):
-        assert a is b and not a.flags.writeable
-    assert first.fi_blocks[0] is criteria._two_qubit_program().fi_blocks[0]
-    assert not np.array_equal(first.f0, second.f0)
-    assert not (first.f0.flags.writeable or first.f0_blocks[0].flags.writeable)
+    assert not any(b.flags.writeable for b in first.fi_blocks)
+    assert not np.array_equal(f0_first[0], f0_second[0])
     with pytest.raises(ValueError):
         first.amat[0, 0] = 1.0
 
 
-def test_with_f0_rebuilds_projector_only_on_a_new_scale():
-    """An F0 that raises the scale gets the projector of a freshly built
-    problem and leaves the source problem alone; an F0 at the same scale
-    shares the source's projector."""
-    base = criteria._two_qubit_program()
-    proj, scale = base.proj, base.scale
-    big = [5.0 * np.eye(6), *base.f0_blocks[1:]]
-    moved = base.with_f0(big)
-    fresh = SdpProblem(c=base.c, f0_blocks=big, fi_blocks=base.fi_blocks)
-    assert moved.scale == fresh.scale == 5.0 != scale
-    assert moved.proj is not proj
-    np.testing.assert_array_equal(moved.proj, fresh.proj)
-    assert not moved.proj.flags.writeable
-    assert base.proj is proj and base.scale == scale
-    same = base.with_f0([0.5 * np.eye(6), *base.f0_blocks[1:]])
-    assert same.scale == scale and same.proj is proj
+def test_solve_leaves_the_projector_alone():
+    """The Gram projector depends on the F_i alone: a solve at an F0 of
+    scale 5 (5 - lambda/3 >= 0 on the big block, so lambda* = 15) runs on
+    the program's projector, equal to that of a freshly built problem, and
+    changes nothing on it."""
+    program = criteria._two_qubit_program()
+    proj = program.proj
+    before = proj.copy()
+    third = np.eye(3) / 3.0
+    sol = solve(program, [5.0 * np.eye(6), third, third])
+    assert sol.status == "optimal"
+    assert abs(sol.x[0] - 15.0) < 1e-6
+    assert program.proj is proj and not proj.flags.writeable
+    np.testing.assert_array_equal(proj, before)
+    fresh = SdpProblem(c=program.c, fi_blocks=program.fi_blocks)
+    np.testing.assert_array_equal(fresh.proj, proj)
 
 
 def test_unconverged_solve_is_undetermined():
     """A solve cut short returns max_iter, and the SDP verdict is then
     undetermined rather than a flag either way."""
-    assert solve(_two_qubit_problems(1)[0], max_iter=1).status == "max_iter"
+    assert solve(*_two_qubit_problems(1)[0], max_iter=1).status == "max_iter"
     v = cmc_sdp_2q(states.werner_2q(1.0), max_iter=1)
     assert v.status == "undetermined"
     assert v.detected is None
