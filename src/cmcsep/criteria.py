@@ -98,24 +98,25 @@ def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Trace test 2 sum |C_ii| against the purity deficits, after rotating
     both local bases so the cross block is diagonal.
 
-    For d_A < d_B only the d_A^2 largest rotated B-side diagonal entries
-    enter; the matching bound then keeps the full A-side purity deficit but
-    can no longer subtract the B-side pure-state trace, so the B term stays
-    at the bare diagonal sum over them (a valid, weaker bound).
+    The identities pair with each other and add 0 to both sides (C_00 = 0,
+    B_00 = 0), so the rotation acts on the traceless blocks alone.  For
+    d_A < d_B only the d_A^2 - 1 rotated B-side diagonal entries paired with
+    the singular values of C enter; the matching bound then keeps the full
+    A-side purity deficit but can no longer subtract the B-side pure-state
+    trace, so the B term stays at the bare diagonal sum over them (a valid,
+    weaker bound).
     """
-    # with d_A > d_B the CM of the swapped state, not C transposed: the last
-    # rotated B direction is a null singular vector of C picked by rounding
     st = as_state(rho, dims).oriented
     da, db = st.dims
     bcm = st.block_cm
     sing, vt = st.c_svd
-    na = da * da
+    na = da * da - 1
     lhs = 2.0 * float(np.sum(sing[:na]))  # |diag(U^T C V^T)|, largest first
     deficit_a = 1.0 - bcm.purity_a
     if da == db:
         rhs = deficit_a + (1.0 - bcm.purity_b)
     else:
-        rhs = deficit_a + float(np.sum(np.diag(vt @ bcm.b @ vt.T)[:na]))
+        rhs = deficit_a + float(np.sum(np.diag(vt @ bcm.b[1:, 1:] @ vt.T)[:na]))
     # lhs and rhs are on twice the scale of the singular-value test's, so
     # the threshold doubles with them and trace => SV holds at the threshold
     return _verdict("cmc_trace", lhs - rhs,

@@ -248,9 +248,10 @@ class CheckedState:
 
     @functools.cached_property
     def c_svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values of the block CM's cross block C and its V^T, from
-        one full SVD."""
-        _, s, vt = np.linalg.svd(self.block_cm.c)
+        """Singular values of the traceless cross block ``C[1:, 1:]`` (the
+        Gell-Mann-like bases lead with the identity, whose row and column of
+        C vanish) and its V^T, from one full SVD."""
+        _, s, vt = np.linalg.svd(self.block_cm.c[1:, 1:])
         return _read_only(s), _read_only(vt)
 
     @functools.cached_property

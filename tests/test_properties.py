@@ -24,10 +24,8 @@ SWAP_MARGIN_TOL = 1e-12
 # so the coefficient sums of a state and of its local rotation agree only
 # to that tolerance (at most 1.8e-9 on 120 states at (2,3), (3,3), (2,5))
 LU_FILTER_MARGIN_TOL = 1e-8
-# cmc_trace is left out: at d_A != d_B its bound rests on a null singular
-# vector of C that rounding picks
 SWAP_MARGIN_CRITERIA = ("ppt", "ccnr", "de_vicente", "cmc_singular_values",
-                        "cmc_schmidt", "cmc_filter")
+                        "cmc_trace", "cmc_schmidt", "cmc_filter")
 
 _settings = settings(derandomize=True, database=None, deadline=None,
                      max_examples=15)
@@ -118,9 +116,8 @@ def test_uneven_verdicts_invariant_under_subsystem_swap(dims, seed, separable):
 @given(seed=st.integers(0, 2**31 - 1), separable=st.booleans())
 def test_verdicts_and_margins_invariant_under_local_unitaries(dims, seed, separable):
     """(U_A x U_B) rho (U_A x U_B)^dagger gets the same flags, and the same
-    margins within SWAP_MARGIN_TOL (LU_FILTER_MARGIN_TOL for the filter);
-    cmc_trace is compared only at d_A = d_B, as are the Ky-Fan shifts,
-    which run only there."""
+    margins within SWAP_MARGIN_TOL (LU_FILTER_MARGIN_TOL for the filter),
+    the Ky-Fan shifts included at d_A = d_B, the only dims they run at."""
     da, db = dims
     rng = np.random.default_rng([99, da, db, seed])
     if separable:
@@ -134,9 +131,8 @@ def test_verdicts_and_margins_invariant_under_local_unitaries(dims, seed, separa
     _check_sound_and_ordered(there, separable)
     assert [(v.name, v.detected) for v in there] == \
         [(v.name, v.detected) for v in here]
-    compared = SWAP_MARGIN_CRITERIA + (
-        ("cmc_trace", *(f"cmc_kyfan_weyl_s{s}" for s in range(1, da)))
-        if da == db else ())
+    compared = SWAP_MARGIN_CRITERIA + tuple(
+        f"cmc_kyfan_weyl_s{s}" for s in range(1, da) if da == db)
     for v, w in zip(here, there):
         if v.name in compared:
             tol = LU_FILTER_MARGIN_TOL if v.name == "cmc_filter" else SWAP_MARGIN_TOL
