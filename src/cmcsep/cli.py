@@ -41,8 +41,10 @@ FIG1_MIN_STEP = 1e-3
 # Most terms gen draws for a separable state: the weights alone take 8 bytes
 # per term, drawn before the first term is built.
 MAX_SEPARABLE_TERMS = 10**6
-# Largest dA dB gen draws a state for: a separable draw builds
-# states.SEPARABLE_CHUNK n x n terms at once, 64 MiB at n = 256.
+# Largest dA dB gen draws a state for and a state file may have: a
+# separable draw builds states.SEPARABLE_CHUNK n x n terms at once, 64 MiB
+# at n = 256, and the block CM and the filter of a loaded state read the
+# dense (k n, n) local-generator layout, k = dA^2 + dB^2 - 2.
 MAX_GEN_DIM = 256
 
 
@@ -99,6 +101,9 @@ def load_statefile(path: str) -> CheckedState:
     if (not isinstance(dims, list) or len(dims) != 2
             or not all(isinstance(d, int) and d >= 2 for d in dims)):
         raise InputError(f"{path}: dims must be two integers >= 2")
+    if dims[0] * dims[1] > MAX_GEN_DIM:
+        raise InputError(f"{path}: dA dB = {dims[0] * dims[1]} is above the "
+                         f"cap of {MAX_GEN_DIM}")
     try:
         raw = np.asarray(doc["matrix"], dtype=float)
         if raw.ndim != 3 or raw.shape[2] != 2:
@@ -293,6 +298,7 @@ def bisect_threshold(family: str, crit_name: str, p_lo: float, p_hi: float,
     """Locate the detection onset by bisection after a monotonicity presweep."""
     if family not in P_FAMILIES:
         raise InputError(f"threshold scans {', '.join(P_FAMILIES)}, not {family!r}")
+    _spellings([crit_name])
     if not (tol > 0 and 0.0 <= p_lo < p_hi <= 1.0):
         raise InputError(f"need tol > 0 and 0 <= p_lo < p_hi <= 1, got "
                          f"tol={tol}, p_lo={p_lo}, p_hi={p_hi}")

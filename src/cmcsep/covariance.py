@@ -3,13 +3,14 @@ concavity and Bloch inversion."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matlin
 from .matlin import MatrixError, as_matrix, as_state, hermitize
-from .observables import ObservableBasis
+from .observables import ObservableBasis, gellmann_like_basis
 
 # Accumulated rounding across d^2-term sums; eigenvalues below this floor
 # signal an invalid input state rather than a detection result.
@@ -49,6 +50,37 @@ class BlockCovarianceMatrix:
         na = len(self.basis_a)
         keep = [i for i in range(na + len(self.basis_b)) if i not in (0, na)]
         return self.assembled()[np.ix_(keep, keep)]
+
+
+@functools.lru_cache(maxsize=32)
+def local_generators(da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat layouts of the n x n local operators L_k = G_k x 1, then 1 x G_k,
+    over the traceless Gell-Mann-like elements G_k of each side: the (k n, n)
+    row stack of the L_k and the (k, n^2) stack of the transposed L_k, so
+    each product over them is one 2-D matmul.
+
+    Cached per dims; the returned arrays are read-only."""
+    ga = gellmann_like_basis(da).ops[1:]
+    gb = gellmann_like_basis(db).ops[1:]
+    ops = np.array([np.kron(g, np.eye(db)) for g in ga]
+                   + [np.kron(np.eye(da), g) for g in gb])
+    k, n = ops.shape[:2]
+    out = (ops.reshape(k * n, n), ops.transpose(0, 2, 1).reshape(k, n * n))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def local_moments(r: np.ndarray,
+                  dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """First moments Re tr(r L_k) and second moments Re tr(r L_k L_l) of the
+    n x n matrix ``r`` over the local generators of ``dims``, in two
+    matmuls over their cached layouts.  The second moments of an A and a B
+    generator are the joint moments tr(r (G_i x G_j))."""
+    rows, cols = local_generators(*dims)
+    k, nn = cols.shape
+    m = (rows @ r).reshape(k, nn)
+    return np.real(m[:, ::r.shape[0] + 1].sum(axis=1)), np.real(cols @ m.T)
 
 
 def second_moments(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -108,20 +140,27 @@ def _cm(r: np.ndarray, basis: ObservableBasis,
 
 def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
                    kind: str = "symmetric") -> BlockCovarianceMatrix:
-    """Block covariance matrix of a bipartite state over local bases; over
-    the Gell-Mann-like ones its ``joint`` is the state's ``joint``."""
+    """Block covariance matrix of a bipartite state over local bases.
+
+    The symmetric CM over the Gell-Mann-like bases (Pauli's at d = 2) is
+    read off the local moments of ``local_moments`` for a unit-trace state:
+    its traceless blocks are the second moments less the products of the
+    first, and the identity rows and columns of A, B and C are zero.  Other
+    bases and the nonsymmetric kind contract the marginals and the joint
+    moments of the state."""
     da, db = basis_a.dim, basis_b.dim
     st = as_state(rho, (da, db))
+    gellmann = ("gellmann", "pauli")
+    if kind == "symmetric" and basis_a.kind in gellmann and basis_b.kind in gellmann:
+        return _gellmann_block_cm(st, basis_a, basis_b)
     # marginals of an exactly Hermitian matrix are exactly Hermitian
     rho_a = matlin.partial_trace(st.rho, (da, db), keep="A")
     rho_b = matlin.partial_trace(st.rho, (da, db), keep="B")
     cm_a, m_a = _cm(rho_a, basis_a, kind)
     cm_b, m_b = _cm(rho_b, basis_b, kind)
-    joint = (st.joint if basis_a.kind == basis_b.kind == "gellmann"
-             else matlin.joint_moments(st.rho, basis_a.ops, basis_b.ops))
-    c = joint - np.outer(m_a, m_b)
+    joint = matlin.joint_moments(st.rho, basis_a.ops, basis_b.ops)
     bcm = BlockCovarianceMatrix(
-        kind=kind, a=cm_a, b=cm_b, c=c,
+        kind=kind, a=cm_a, b=cm_b, c=joint - np.outer(m_a, m_b),
         basis_a=basis_a, basis_b=basis_b,
         purity_a=float(np.real(np.trace(rho_a @ rho_a))),
         purity_b=float(np.real(np.trace(rho_b @ rho_b))),
@@ -131,6 +170,38 @@ def build_block_cm(rho, basis_a: ObservableBasis, basis_b: ObservableBasis,
     # interlacing this one check also covers both of them
     _check_cm_psd(bcm.assembled(), f"{kind} block covariance matrix")
     return bcm
+
+
+def _gellmann_block_cm(st: matlin.CheckedState, basis_a: ObservableBasis,
+                       basis_b: ObservableBasis) -> BlockCovarianceMatrix:
+    da, db = st.dims
+    ka, na, nb = da * da - 1, da * da, db * db
+    tr = float(np.real(np.trace(st.rho)))
+    # the identity rows and columns vanish only for a unit-trace state
+    if abs(tr - 1.0) > matlin.TRACE_ATOL:
+        raise MatrixError(f"state has trace {tr:.6g}; its block CM over the "
+                          "Gell-Mann-like bases needs trace 1")
+    first, second = local_moments(st.rho, st.dims)
+    traceless = second - first[:, None] * first
+    # the assembled CM is this one bordered by zeros, so this one check
+    # covers it and, by interlacing, both marginal CMs
+    _check_cm_psd(traceless, "symmetric block covariance matrix")
+    m_a = np.concatenate(([tr / np.sqrt(da)], first[:ka]))
+    m_b = np.concatenate(([tr / np.sqrt(db)], first[ka:]))
+    a, b, c, joint = (np.zeros(shape) for shape in
+                      ((na, na), (nb, nb), (na, nb), (na, nb)))
+    a[1:, 1:] = traceless[:ka, :ka]
+    b[1:, 1:] = traceless[ka:, ka:]
+    c[1:, 1:] = traceless[:ka, ka:]
+    joint[1:, 1:] = second[:ka, ka:]
+    joint[0] = m_b / np.sqrt(da)
+    joint[:, 0] = m_a / np.sqrt(db)
+    joint[0, 0] = tr / np.sqrt(da * db)
+    # over an orthonormal basis tr rho_A^2 is the squared norm of the moments
+    return BlockCovarianceMatrix(
+        kind="symmetric", a=a, b=b, c=c, basis_a=basis_a, basis_b=basis_b,
+        purity_a=float(m_a @ m_a), purity_b=float(m_b @ m_b),
+        moments_a=m_a, moments_b=m_b, joint=joint)
 
 
 def concavity_check(rhos, probs, basis: ObservableBasis) -> float:

@@ -3,12 +3,11 @@ obtained by minimizing the determinant-normalized overlap functional."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matlin
+from . import covariance, matlin
 # DEFAULT_NOISE_EPS is matlin's, the noise the normal form reports
 from .matlin import DEFAULT_NOISE_EPS, MatrixError, as_state
 from .observables import gellmann_like_basis
@@ -49,38 +48,16 @@ class NormalForm:
     noise_eps: float = 0.0
 
 
-@functools.lru_cache(maxsize=32)
-def _local_generators(da: int, db: int) -> tuple[np.ndarray, ...]:
-    """Flat layouts of the n x n local operators L_k = G_k x 1, then 1 x G_k,
-    over the traceless Gell-Mann-like elements G_k of each side: the (k n, n)
-    row stack of the L_k, the (k, n^2) stack of the transposed L_k, and the
-    flattened G_k of A and of B, so each Newton product is one 2-D matmul.
-
-    Cached per dims; the returned arrays are read-only."""
-    ga = gellmann_like_basis(da).ops[1:]
-    gb = gellmann_like_basis(db).ops[1:]
-    ops = np.array([np.kron(g, np.eye(db)) for g in ga]
-                   + [np.kron(np.eye(da), g) for g in gb])
-    k, n = ops.shape[:2]
-    out = (ops.reshape(k * n, n), ops.transpose(0, 2, 1).reshape(k, n * n),
-           ga.reshape(len(ga), -1), gb.reshape(len(gb), -1))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-def newton_system(r: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def newton_system(r: np.ndarray,
+                  dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of h -> log tr[e^(X/2) r e^(X/2)] at h = 0, with
-    X = sum_k h_k L_k over the generator layouts ``rows``, ``cols`` and tr r = 1.
+    X = sum_k h_k L_k over the local generators L_k of ``dims`` and tr r = 1.
 
     The gradient is <L_k> and the Hessian Re<L_k L_l> - <L_k><L_l>: the
-    symmetric block covariance matrix of r on the traceless rows."""
-    k, nn = cols.shape
-    m = (rows @ r).reshape(k, nn)
-    grad = np.real(m[:, ::r.shape[0] + 1].sum(axis=1))
-    hess = np.real(cols @ m.T)
-    return grad, hess - grad[:, None] * grad
+    symmetric block covariance matrix of r on the traceless rows, read off
+    the same local moments as ``covariance.build_block_cm``."""
+    grad, second = covariance.local_moments(r, dims)
+    return grad, second - grad[:, None] * grad
 
 
 def normal_form(rho, dims: tuple[int, int],
@@ -103,8 +80,11 @@ def normal_form(rho, dims: tuple[int, int],
     da, db = st.dims
     n = da * db
     r = st.rho / np.real(np.trace(st.rho))
-    rows, cols, flat_a, flat_b = _local_generators(da, db)
     ka = da * da - 1
+    # the flattened traceless G_k of each side, so H_A and H_B are one
+    # matmul each
+    flat_a = gellmann_like_basis(da).ops[1:].reshape(ka, da * da)
+    flat_b = gellmann_like_basis(db).ops[1:].reshape(db * db - 1, db * db)
     f_a = np.eye(da, dtype=complex)
     f_b = np.eye(db, dtype=complex)
     f_val = 1.0
@@ -120,7 +100,7 @@ def normal_form(rho, dims: tuple[int, int],
         if converged or steps >= max_iter:
             break
         steps += 1
-        grad, hess = newton_system(r, rows, cols)
+        grad, hess = newton_system(r, (da, db))
         try:
             h = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:

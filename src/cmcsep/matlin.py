@@ -18,6 +18,8 @@ import numpy as np
 # symmetrized and handed to the eigensolver; density matrices arrive from
 # state files and generators with accumulated rounding.
 STATE_RTOL = 1e-10
+# Largest |tr rho - 1| of a state taken as a density matrix.
+TRACE_ATOL = 1e-10
 # White noise mixed into a state whose smallest eigenvalue is below it, by
 # CheckedState.mixed, before the filter and the two-qubit SDP run on it.
 DEFAULT_NOISE_EPS = 1e-9
@@ -217,8 +219,10 @@ class CheckedState:
 
     @functools.cached_property
     def joint(self) -> np.ndarray:
-        """Joint moments tr(rho (G_i x G_j)) over the Gell-Mann-like bases, the
-        one contraction ``block_cm`` reads; unlike it, not checked for a PSD CM."""
+        """Joint moments tr(rho (G_i x G_j)) over the Gell-Mann-like bases, one
+        contraction over the realignment of rho, which the filter normal
+        form reads and which builds no block CM; ``block_cm.joint`` is the
+        same matrix, to rounding, read off the block CM's local moments."""
         from . import observables
 
         da, db = self.dims

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matlin import CheckedState, MatrixError, as_matrix, as_state
+from .matlin import TRACE_ATOL, CheckedState, MatrixError, as_matrix, as_state
 
 # Eigenvalues in (-PSD_CLIP, 0) are treated as rounding and clipped; anything
 # more negative is a generator error.
@@ -21,7 +21,7 @@ def validate_density(rho, dims: tuple[int, int]) -> CheckedState:
     checked state, its spectrum kept."""
     st = as_state(rho, dims)
     tr = complex(np.trace(st.rho))
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > TRACE_ATOL:
         raise MatrixError(f"density matrix trace {tr} differs from 1")
     wmin = float(st.eigenvalues[0])
     if wmin < -1e-9:

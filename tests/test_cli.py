@@ -96,6 +96,15 @@ def test_unit_dimension_exit_code(tmp_path, capsys):
     assert "dims must be two integers >= 2" in capsys.readouterr().err
 
 
+def test_dims_above_the_cap_exit_code(tmp_path, capsys):
+    """A state file whose dA dB exceeds gen's cap is rejected before its
+    matrix is read, as gen rejects such dims."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": [17, 17], "matrix": [[[1.0, 0.0]]]}))
+    assert run_cli(["detect", str(path), "--criteria", "ccnr"]) == 2
+    assert "dA dB = 289 is above the cap of 256" in capsys.readouterr().err
+
+
 def test_statefile_roundtrip(tmp_path):
     rng = np.random.default_rng(400)
     rho = states.random_density(6, rng=rng)
@@ -182,6 +191,15 @@ def test_threshold_requires_bracket():
 
     with pytest.raises(InputError):
         bisect_threshold("werner", "ppt", 0.5, 1.0)  # detected at both ends
+
+
+@pytest.mark.parametrize("name", ["bogus", "ppt,ppt"])
+def test_threshold_checks_its_criterion(name):
+    """bisect_threshold called as a library function checks its criterion
+    spelling at entry, as the threshold command does."""
+    with pytest.raises(cli.InputError) as exc:
+        bisect_threshold("werner", name, 0.0, 1.0)
+    assert str(exc.value) == f"unknown criteria: {name}"
 
 
 def test_threshold_without_verdict_is_input_error(capsys):

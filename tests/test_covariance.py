@@ -410,3 +410,41 @@ def test_block_cm_checks_positivity_once(kind, monkeypatch):
     cov.build_block_cm(states.werner_2q(0.5), pauli_basis(), pauli_basis(),
                        kind=kind)
     assert checks == [f"{kind} block covariance matrix"]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+def test_gellmann_block_cm_reads_the_local_moments(dims, monkeypatch):
+    """Over the Gell-Mann-like bases the symmetric block CM is read off the
+    local moments, with no partial trace and no joint-moment contraction,
+    and matches the generic contraction over the same operators to
+    rounding; its identity rows and columns are exactly zero."""
+    da, db = dims
+    ga, gb = gellmann_like_basis(da), gellmann_like_basis(db)
+    generic = [ObservableBasis(g.dim, g.ops, "custom") for g in (ga, gb)]
+    rng = np.random.default_rng([119, da, db])
+    rhos = [states.random_density(da * db, rank=rank, rng=rng)
+            for rank in (None, 1, 2) for _ in range(3)]
+    refs = [cov.build_block_cm(rho, *generic) for rho in rhos]
+    calls = []
+    for name in ("partial_trace", "joint_moments"):
+        monkeypatch.setattr(matlin, name, lambda *a, _n=name, **kw: calls.append(_n))
+    for rho, ref in zip(rhos, refs):
+        got = cov.build_block_cm(rho, ga, gb)
+        for key in ("a", "b", "c", "joint", "moments_a", "moments_b",
+                    "purity_a", "purity_b"):
+            np.testing.assert_allclose(getattr(got, key), getattr(ref, key),
+                                       rtol=0, atol=1e-14, err_msg=key)
+        for block in (got.a, got.b, got.c):
+            assert not block[0].any() and not block[:, 0].any()
+    assert calls == []
+
+
+def test_gellmann_block_cm_needs_unit_trace():
+    """The Gell-Mann block CM sets its identity rows and columns to zero,
+    which holds only at unit trace, so it rejects any other trace."""
+    rho = states.random_density(9, rng=np.random.default_rng(120))
+    g = gellmann_like_basis(3)
+    for scale in (0.5, 2.0):
+        with pytest.raises(MatrixError, match="needs trace 1"):
+            cov.build_block_cm(scale * rho, g, g)
+    cov.build_block_cm((1 + 1e-11) * rho, g, g)

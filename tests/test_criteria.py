@@ -509,9 +509,10 @@ def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
 
 
 # np.linalg.svd calls per full-rank state: the operator Schmidt SVD, the one
-# full SVD of C, the operator norms of A and B when the Ky-Fan shifts run
-# (d_A = d_B), and the Bloch singular values of rho (de Vicente) and of the
-# filter normal form.  The singular-value, trace and Ky-Fan tests share C's.
+# full SVD of C's traceless block, the operator norms of A and B when the
+# Ky-Fan shifts run (d_A = d_B), and the Bloch singular values of rho (de
+# Vicente) and of the filter normal form.  The singular-value, trace and
+# Ky-Fan tests share C's.
 SVD_CALLS = {(2, 2): 6, (2, 3): 4, (3, 2): 4, (3, 3): 6}
 
 
@@ -574,13 +575,13 @@ def test_sdp_cm_is_that_of_the_noise_mixed_state(monkeypatch):
 # hermitize, build_block_cm, swap_subsystems and joint_moments calls.  The
 # SDP at (2, 2) checks its LUR state once more; on a rank-1 state it solves
 # on the noise-mixed state, which is not checked again but has its own
-# block CM.  A state's one joint-moment contraction, its ``joint``, serves
-# its block CM, de Vicente and the operator Schmidt decomposition; the
-# filter's one contraction is the ``joint`` of the normal form rho~, which
-# builds no block CM, and the LUR value takes one more.
-CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 3), (2, 3): (1, 1, 0, 2),
-                      (2, 5): (1, 1, 0, 2), (3, 2): (1, 1, 1, 2),
-                      (3, 3): (1, 1, 0, 2), (2, 2, 1): (2, 2, 0, 4)}
+# block CM.  A block CM reads its joint moments off the local moments, with
+# no contraction of its own, and serves de Vicente and the operator Schmidt
+# decomposition; the one contraction is the ``joint`` of the filter normal
+# form rho~, which builds no block CM, and the LUR value takes one more.
+CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 2), (2, 3): (1, 1, 0, 1),
+                      (2, 5): (1, 1, 0, 1), (3, 2): (1, 1, 1, 1),
+                      (3, 3): (1, 1, 0, 1), (2, 2, 1): (2, 2, 0, 2)}
 
 
 @pytest.mark.parametrize("dims", list(CHECKS_AND_ORIENTS))
@@ -604,12 +605,13 @@ def test_run_all_checks_and_orients_once(monkeypatch, dims):
 
 def test_low_rank_ppt_state_contracts_once(monkeypatch):
     """A PPT state of rank <= max(dA, dB) skips the filter, and every
-    criterion reads its joint moments from the one shared block CM."""
+    criterion reads its joint moments from the one shared block CM, which
+    takes them off the local moments with no joint-moment contraction."""
     calls = count_calls(monkeypatch, matlin, "joint_moments")
     rho = states.random_separable(3, 3, n_terms=2, rng=np.random.default_rng(118))
     verdicts = run_all(rho, (3, 3))
     assert verdicts[-1].details["separable_by"] == "low_rank_ppt"
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
