@@ -48,18 +48,6 @@ class NormalForm:
     noise_eps: float = 0.0
 
 
-def newton_system(r: np.ndarray,
-                  dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of h -> log tr[e^(X/2) r e^(X/2)] at h = 0, with
-    X = sum_k h_k L_k over the local generators L_k of ``dims`` and tr r = 1.
-
-    The gradient is <L_k> and the Hessian Re<L_k L_l> - <L_k><L_l>: the
-    symmetric block covariance matrix of r on the traceless rows, read off
-    the same local moments as ``covariance.build_block_cm``."""
-    grad, second = covariance.local_moments(r, dims)
-    return grad, second - grad[:, None] * grad
-
-
 def normal_form(rho, dims: tuple[int, int],
                 max_iter: int = DEFAULT_MAX_ITER) -> NormalForm:
     """Damped Newton minimization of log tr[(A x B) rho (A x B)^dagger] over
@@ -100,7 +88,9 @@ def normal_form(rho, dims: tuple[int, int],
         if converged or steps >= max_iter:
             break
         steps += 1
-        grad, hess = newton_system(r, (da, db))
+        # gradient <L_k> and Hessian, the symmetric block CM of r on the
+        # traceless rows, over the layout the block CM reads
+        grad, _, hess = covariance.local_moments(r, (da, db))
         try:
             h = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:

@@ -439,12 +439,48 @@ def test_gellmann_block_cm_reads_the_local_moments(dims, monkeypatch):
     assert calls == []
 
 
-def test_gellmann_block_cm_needs_unit_trace():
-    """The Gell-Mann block CM sets its identity rows and columns to zero,
-    which holds only at unit trace, so it rejects any other trace."""
+def test_block_cm_off_unit_trace_takes_the_generic_contraction():
+    """The identity rows and columns of the Gell-Mann block CM vanish only at
+    unit trace, so a matrix of any other trace gets the generic contraction,
+    as over every other basis: the same CM as over the same operators
+    untagged, bit for bit.  Above trace 1 that CM can fail its PSD check,
+    and then does over every basis."""
     rho = states.random_density(9, rng=np.random.default_rng(120))
     g = gellmann_like_basis(3)
-    for scale in (0.5, 2.0):
-        with pytest.raises(MatrixError, match="needs trace 1"):
-            cov.build_block_cm(scale * rho, g, g)
-    cov.build_block_cm((1 + 1e-11) * rho, g, g)
+    generic = ObservableBasis(3, g.ops, "custom")
+    for scale in (0.5, 0.99):
+        got = cov.build_block_cm(scale * rho, g, g)
+        ref = cov.build_block_cm(scale * rho, generic, generic)
+        np.testing.assert_array_equal(got.assembled(), ref.assembled())
+        np.testing.assert_array_equal(got.joint, ref.joint)
+        assert got.c[0].any()
+        cov.build_block_cm(scale * rho, standard_basis(3), standard_basis(3))
+    for basis in (g, generic, standard_basis(3)):
+        with pytest.raises(MatrixError, match="block covariance matrix"):
+            cov.build_block_cm(2.0 * rho, basis, basis)
+    within = cov.build_block_cm((1 + 1e-11) * rho, g, g)
+    assert not within.c[0].any() and not within.c[:, 0].any()
+
+
+@pytest.mark.parametrize("dims, reads_layout",
+                         [((4, 4), True), ((3, 6), False), ((2, 8), False),
+                          ((4, 6), False)])
+def test_block_cm_reads_the_layout_only_below_its_cap(dims, reads_layout,
+                                                      monkeypatch):
+    """The closed-form criteria read the state's block CM; above
+    LAYOUT_MAX_ENTRIES it is the generic contraction, and no local-generator
+    layout is built."""
+    from cmcsep import criteria
+
+    da, db = dims
+    k, n = da * da + db * db - 2, da * db
+    assert (k * n * n <= cov.LAYOUT_MAX_ENTRIES) == reads_layout
+    calls = []
+    build = cov.local_generators
+    monkeypatch.setattr(cov, "local_generators",
+                        lambda *d: calls.append(d) or build(*d))
+    rho = states.random_density(n, rank=2, rng=np.random.default_rng([121, da, db]))
+    for crit in (criteria.ccnr, criteria.de_vicente,
+                 criteria.cmc_singular_values, criteria.cmc_trace):
+        crit(rho, dims)
+    assert calls == ([dims] * 4 if reads_layout else [])

@@ -10,7 +10,7 @@ from cmcsep.covariance import build_block_cm
 from cmcsep.criteria import cmc_filter
 from cmcsep.filtering import normal_form
 from cmcsep.matlin import MatrixError, hermitize
-from cmcsep.observables import gellmann_like_basis
+from cmcsep.observables import ObservableBasis, gellmann_like_basis
 
 
 def _reference_balancing_filter(marginal):
@@ -279,14 +279,17 @@ def test_normal_form_matches_contraction_reference(dims):
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_newton_hessian_is_block_cm(dims):
-    """The Newton system at an iterate is its traceless local moments and
-    its symmetric block CM on the traceless rows and columns."""
+    """The Newton system at an iterate, read off the local moments, is its
+    traceless local moments and its symmetric block CM on the traceless
+    rows and columns, as the generic contraction over the same operators
+    builds it."""
     da, db = dims
     rng = np.random.default_rng([83, da, db])
     rho = states.random_density(da * db, rng=rng)
     iterate = normal_form(rho, dims, max_iter=1).state.rho
-    ga, gb = gellmann_like_basis(da), gellmann_like_basis(db)
-    grad, hess = filtering.newton_system(iterate, dims)
+    ga, gb = (ObservableBasis(g.dim, g.ops, "custom")
+              for g in (gellmann_like_basis(da), gellmann_like_basis(db)))
+    grad, _, hess = covariance.local_moments(iterate, dims)
     bcm = build_block_cm(iterate, ga, gb, kind="symmetric")
     assert np.max(np.abs(hess - bcm.traceless_part())) < 1e-12
     np.testing.assert_allclose(
