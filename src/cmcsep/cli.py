@@ -43,8 +43,9 @@ FIG1_MIN_STEP = 1e-3
 MAX_SEPARABLE_TERMS = 10**6
 # Largest dA dB gen draws a state for and a state file may have: a
 # separable draw builds states.SEPARABLE_CHUNK n x n terms at once, 64 MiB
-# at n = 256, and the block CM and the filter of a loaded state read the
-# dense (k n, n) local-generator layout, k = dA^2 + dB^2 - 2.
+# at n = 256, and the filter of a loaded state reads the dense (k n, n)
+# local-generator layout, k = dA^2 + dB^2 - 2, at any dims (the block CM
+# reads it only up to covariance.LAYOUT_MAX_ENTRIES).
 MAX_GEN_DIM = 256
 
 

@@ -87,7 +87,9 @@ def local_moments(r: np.ndarray, dims: tuple[int, int]
 
     At unit trace the first moments and the CM are the gradient and the
     Hessian of h -> log tr[e^(X/2) r e^(X/2)] at h = 0, X = sum_k h_k L_k:
-    the filter's Newton system."""
+    the filter's Newton system.  There the first moments of each side are
+    also the coordinates of its marginal less 1/d over its G_k, the
+    filter's stopping test, and the joint moments give the filter's xi."""
     rows, cols = local_generators(*dims)
     k, nn = cols.shape
     m = (rows @ r).reshape(k, nn)

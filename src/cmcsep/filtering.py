@@ -33,8 +33,10 @@ class NormalForm:
 
     ``state`` is rho_tilde = (F_A x F_B) rho (F_A x F_B)^dagger / norm with
     unit determinant filters; ``xi`` holds the non-increasing coefficients
-    d_A d_B svd(state.joint[1:, 1:]) over traceless local observables, so
-    the separability thresholds downstream are exactly d^2 - d and friends.
+    d_A d_B svd(J), J_ij = tr(rho_tilde (G_i x G_j)) over the traceless
+    Gell-Mann-like G of each side, read off the last iterate's local second
+    moments, so the separability thresholds downstream are exactly d^2 - d
+    and friends.
     """
 
     xi: np.ndarray
@@ -58,11 +60,12 @@ def normal_form(rho, dims: tuple[int, int],
     halves it until the Armijo condition holds, so the objective never
     increases.  The run has converged, by the definition of the normal form,
     once every entry of both marginals is within ``DEFAULT_TOL`` of
-    maximally mixed; an input already there takes no step.  Rank-deficient
-    inputs are mixed with ``DEFAULT_NOISE_EPS`` of white noise first (see
-    ``CheckedState.mixed``).  A state that exhausts ``max_iter``
-    steps is returned with converged=False and the last iterate;
-    downstream criteria stay valid, only weaker.
+    maximally mixed; an input already there takes no step.  Each iterate,
+    the last one included, is contracted once, by ``local_moments``.
+    Rank-deficient inputs are mixed with ``DEFAULT_NOISE_EPS`` of white
+    noise first (see ``CheckedState.mixed``).  A state that exhausts
+    ``max_iter`` steps is returned with converged=False and the last
+    iterate; downstream criteria stay valid, only weaker.
     """
     st, applied_eps = as_state(rho, dims).mixed()
     da, db = st.dims
@@ -77,20 +80,18 @@ def normal_form(rho, dims: tuple[int, int],
     f_b = np.eye(db, dtype=complex)
     f_val = 1.0
     history = [1.0]
-    eye_a = np.eye(da) / da
-    eye_b = np.eye(db) / db
     steps = 0
     while True:
-        r4 = r.reshape(da, db, da, db)
+        # gradient <L_k>, the A-B moments (xi) and the Hessian, the block CM
+        # of r on the traceless rows; at unit trace rho_A - 1/dA is
+        # sum_k <G_k x 1> G_k, so the gradient also gives the stopping test
+        grad, second, hess = covariance.local_moments(r, (da, db))
         converged = bool(
-            np.abs(r4.trace(axis1=1, axis2=3) - eye_a).max() <= DEFAULT_TOL
-            and np.abs(r4.trace(axis1=0, axis2=2) - eye_b).max() <= DEFAULT_TOL)
+            np.abs(grad[:ka] @ flat_a).max() <= DEFAULT_TOL
+            and np.abs(grad[ka:] @ flat_b).max() <= DEFAULT_TOL)
         if converged or steps >= max_iter:
             break
         steps += 1
-        # gradient <L_k> and Hessian, the symmetric block CM of r on the
-        # traceless rows, over the layout the block CM reads
-        grad, _, hess = covariance.local_moments(r, (da, db))
         try:
             h = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -122,13 +123,12 @@ def normal_form(rho, dims: tuple[int, int],
         f_b = b @ f_b
         history.append(f_val)
 
-    # every iterate is exactly Hermitian: no second check, and no block CM
-    state = matlin._checked(r, (da, db))
     return NormalForm(
-        xi=da * db * np.linalg.svd(state.joint[1:, 1:], compute_uv=False),
+        xi=da * db * np.linalg.svd(second[:ka, ka:], compute_uv=False),
         filter_a=f_a,
         filter_b=f_b,
-        state=state,
+        # every iterate is exactly Hermitian: no second check, and no block CM
+        state=matlin._checked(r, (da, db)),
         converged=converged,
         f_value=f_val,
         iterations=steps,

@@ -218,18 +218,6 @@ class CheckedState:
         return float(np.linalg.eigvalsh(pt)[0])
 
     @functools.cached_property
-    def joint(self) -> np.ndarray:
-        """Joint moments tr(rho (G_i x G_j)) over the Gell-Mann-like bases, one
-        contraction over the realignment of rho, which the filter normal
-        form reads and which builds no block CM; ``block_cm.joint`` is the
-        same matrix, to rounding, read off the block CM's local moments."""
-        from . import observables
-
-        da, db = self.dims
-        return joint_moments(self.rho, observables.gellmann_like_basis(da).ops,
-                             observables.gellmann_like_basis(db).ops)
-
-    @functools.cached_property
     def block_cm(self):
         """Symmetric block CM over the Gell-Mann-like bases of both sides."""
         from . import covariance, observables

@@ -118,6 +118,18 @@ def test_gate_shows_a_gain_won_in_nine_of_ten_pairs(tmp_path):
     assert setup["within_bound"] and not setup["gain_shown"]
 
 
+def test_gate_shows_no_gain_on_fewer_than_ten_pairs(tmp_path):
+    """Five of five pairs won by a wide margin is not a gain shown: the
+    gate needs ten pairs; ten such pairs show it."""
+    parent = [1.0, 1.1, 0.9, 1.05, 0.95]
+    pairs = list(zip(zip(parent, [0.5] * 5), [(40.0, 40.0)] * 5))
+    setup = _judged(tmp_path, pairs)["setup_s"]
+    assert setup["change_lower_pairs"] == 5
+    assert setup["within_bound"] and not setup["gain_shown"]
+    setup = _judged(tmp_path, pairs * 2)["setup_s"]
+    assert setup["within_bound"] and setup["gain_shown"]
+
+
 def test_gate_shows_no_gain_where_the_change_fails_more(tmp_path):
     """A gain won in every pair is not shown once the change's runs fail
     more operations in all than the parent's; as many failures are fine."""

@@ -577,11 +577,11 @@ def test_sdp_cm_is_that_of_the_noise_mixed_state(monkeypatch):
 # on the noise-mixed state, which is not checked again but has its own
 # block CM.  A block CM reads its joint moments off the local moments, with
 # no contraction of its own, and serves de Vicente and the operator Schmidt
-# decomposition; the one contraction is the ``joint`` of the filter normal
-# form rho~, which builds no block CM, and the LUR value takes one more.
-CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 2), (2, 3): (1, 1, 0, 1),
-                      (2, 5): (1, 1, 0, 1), (3, 2): (1, 1, 1, 1),
-                      (3, 3): (1, 1, 0, 1), (2, 2, 1): (2, 2, 0, 2)}
+# decomposition; the filter reads the xi of its normal form rho~ off its
+# Newton iterates' local moments, so the one contraction is the LUR value's.
+CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 1), (2, 3): (1, 1, 0, 0),
+                      (2, 5): (1, 1, 0, 0), (3, 2): (1, 1, 1, 0),
+                      (3, 3): (1, 1, 0, 0), (2, 2, 1): (2, 2, 0, 1)}
 
 
 @pytest.mark.parametrize("dims", list(CHECKS_AND_ORIENTS))

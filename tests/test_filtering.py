@@ -67,12 +67,21 @@ def _reference_newton_system(r, ops):
     return grad, hess - np.outer(grad, grad)
 
 
+# Largest difference accepted between xi (and the filter margin built from
+# it) read off the local second moments and off the realigned joint moments:
+# a few ulps of the O(1) coefficients, which sum at most d^2 terms.
+XI_ATOL = 1e-14
+
+
 def reference_newton_normal_form(rho, dims, tol=filtering.DEFAULT_TOL,
                                  max_iter=filtering.DEFAULT_MAX_ITER,
                                  noise_eps=filtering.DEFAULT_NOISE_EPS):
     """The damped Newton loop on the (k, n, n) generator stack with
-    ``np.tensordot`` for H_A and H_B: the pinned form of ``normal_form``,
-    whose output the flat-layout kernel must reproduce bit for bit."""
+    ``np.tensordot`` for H_A and H_B, its stopping test on partial traces and
+    xi from the realigned ``joint_moments``: the pinned form of
+    ``normal_form``, whose output the flat-layout kernel must reproduce bit
+    for bit, xi within XI_ATOL (the kernel reads it off the local moments,
+    an independent contraction)."""
     da, db = int(dims[0]), int(dims[1])
     n = da * db
     r = hermitize(rho)
@@ -311,9 +320,10 @@ def test_normal_form_rank_deficient_2x5_converges():
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
 def test_normal_form_is_a_checked_state(monkeypatch, dims):
     """rho_tilde comes back as a CheckedState of the input's dims, with no
-    second Hermiticity check and no block CM: xi is read off its one
-    joint-moment contraction, which a block CM of the state reads off its
-    local moments to rounding."""
+    second Hermiticity check, no block CM and no joint-moment contraction:
+    xi is read off the last iterate's local moments, and matches the
+    contraction of rho_tilde's joint moments to rounding, as a block CM of
+    the state does."""
     calls = []
     for module, name in ((matlin, "hermitize"), (matlin, "joint_moments"),
                          (covariance, "build_block_cm")):
@@ -326,14 +336,18 @@ def test_normal_form_is_a_checked_state(monkeypatch, dims):
     for given, checks in ((rho, ["hermitize"]), (st, [])):
         calls.clear()
         nf = normal_form(given, dims)
-        assert calls == checks + ["joint_moments"]
+        assert calls == checks
         assert isinstance(nf.state, matlin.CheckedState)
         assert nf.state.dims == dims
-        assert np.array_equal(
-            nf.xi, da * db * np.linalg.svd(nf.state.joint[1:, 1:], compute_uv=False))
+    ga, gb = gellmann_like_basis(da).ops, gellmann_like_basis(db).ops
+    joint = matlin.joint_moments(nf.state.rho, ga, gb)
+    np.testing.assert_allclose(
+        nf.xi, da * db * np.linalg.svd(joint[1:, 1:], compute_uv=False),
+        rtol=0, atol=XI_ATOL)
     for state in (st, nf.state):
-        np.testing.assert_allclose(state.block_cm.joint, state.joint,
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            state.block_cm.joint, matlin.joint_moments(state.rho, ga, gb),
+            rtol=0, atol=1e-15)
 
 
 def test_chessboard_filter_runs_bounded():
@@ -370,17 +384,19 @@ def test_normal_form_input_takes_no_sweep(rho, dims):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-11])
-@pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (2, 5)])
 def test_normal_form_stops_on_marginal_tolerance(monkeypatch, dims, tol):
     """DEFAULT_TOL, read at call time, bounds every entry of both marginals
-    of the result off maximally mixed; one Newton step is not enough to get
-    there."""
+    of the result off maximally mixed, by partial traces independent of the
+    first moments the loop stops on, also on a noise-mixed input; one Newton
+    step is not enough to get there."""
     monkeypatch.setattr(filtering, "DEFAULT_TOL", tol)
     da, db = dims
     rng = np.random.default_rng([82, da, db])
-    for _ in range(3):
-        rho = states.random_density(da * db, rng=rng)
+    for rank in (None, None, None, da * db // 2):
+        rho = states.random_density(da * db, rank=rank, rng=rng)
         nf = normal_form(rho, dims)
+        assert nf.noise_eps == (0.0 if rank is None else filtering.DEFAULT_NOISE_EPS)
         assert nf.converged
         assert _marginal_deviation(nf.state.rho, dims) <= tol + 1e-15
         one = normal_form(rho, dims, max_iter=1)
@@ -388,8 +404,36 @@ def test_normal_form_stops_on_marginal_tolerance(monkeypatch, dims, tol):
         assert _marginal_deviation(one.state.rho, dims) > tol
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+def test_normal_form_takes_one_contraction_per_iterate(monkeypatch, dims):
+    """Each Newton iterate, the last one included, is contracted once, by
+    ``covariance.local_moments``, which gives the stopping test, the step
+    and xi: no partial trace and no joint-moment contraction."""
+    calls = []
+    for module, name in ((covariance, "local_moments"),
+                         (matlin, "joint_moments"), (matlin, "partial_trace")):
+        monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name),
+                            _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+    da, db = dims
+    n = da * db
+    rng = np.random.default_rng([110, da, db])
+    runs = [(states.random_density(n, rng=rng), {}),
+            (states.random_density(n, rank=n // 2, rng=rng), {}),
+            (states.random_density(n, rng=rng), {"max_iter": 1}),
+            (states.random_density(n, rng=rng), {"max_iter": 0}),
+            (np.eye(n) / n, {})]
+    steps = []
+    for rho, kw in runs:
+        calls.clear()
+        nf = normal_form(rho, dims, **kw)
+        assert calls == ["local_moments"] * (nf.iterations + 1)
+        steps.append(nf.iterations)
+    assert steps[0] > 1 and steps[2:] == [1, 0, 0]
+
+
 def _assert_same_normal_form(nf, ref):
-    for name in ("xi", "filter_a", "filter_b", "f_history"):
+    np.testing.assert_allclose(nf.xi, ref.xi, rtol=0, atol=XI_ATOL)
+    for name in ("filter_a", "filter_b", "f_history"):
         assert np.array_equal(getattr(nf, name), getattr(ref, name)), name
     assert np.array_equal(nf.state.rho, ref.state.rho)
     assert (nf.iterations, nf.converged, nf.noise_eps, nf.f_value) \
@@ -400,7 +444,8 @@ def _assert_same_normal_form(nf, ref):
 @pytest.mark.parametrize("rank", ["full", "deficient"])
 def test_normal_form_pinned_to_reference_loop(dims, rank):
     """The flat-layout Newton kernel reproduces the pinned loop bit for
-    bit: coefficients, filters, normal form, objective history and steps."""
+    bit (filters, normal form, objective history and steps) and its
+    coefficients to rounding."""
     da, db = dims
     for i in range(6):
         rng = np.random.default_rng([106, da, db, i])
@@ -421,7 +466,8 @@ def test_normal_form_pinned_on_bound_entangled_states(rho):
 
 def test_cmc_filter_pinned_on_swapped_dims(monkeypatch):
     """At (3, 2) cmc_filter filters the swapped state; its verdict is the
-    same with the pinned loop in place of normal_form."""
+    same with the pinned loop in place of normal_form, its coefficients and
+    margin to rounding."""
     rhos = [states.random_density(6, rank=rank, rng=np.random.default_rng([108, i]))
             for i, rank in enumerate([None, None, None, 4, 5])]
     got = [cmc_filter(rho, (3, 2)) for rho in rhos]
@@ -430,8 +476,11 @@ def test_cmc_filter_pinned_on_swapped_dims(monkeypatch):
     for rho, v in zip(rhos, got):
         ref = cmc_filter(rho, (3, 2))
         assert v.details["swapped"] and "separable_by" not in v.details
-        assert (v.detected, v.margin) == (ref.detected, ref.margin)
-        for key in ("xi", "filter_a", "filter_b"):
+        assert v.detected == ref.detected
+        assert abs(v.margin - ref.margin) <= XI_ATOL
+        np.testing.assert_allclose(v.details["xi"], ref.details["xi"],
+                                   rtol=0, atol=XI_ATOL)
+        for key in ("filter_a", "filter_b"):
             assert np.array_equal(v.details[key], ref.details[key]), key
         for key in ("iterations", "converged", "noise_eps", "f_value"):
             assert v.details[key] == ref.details[key], key

@@ -16,10 +16,10 @@ the runs were made on.
 For each metric that ``BENCHMARK.json`` gates (read, never written) it also
 gives the metric's ``better`` direction and ``bound``, ``within_bound`` (the
 change median is worse than the parent median by at most ``bound`` of it) and
-``gain_shown`` (the change reads better in at least nine tenths of the pairs,
-ties counting for neither, its median is better by more than the parent's
-q3 - q1, and its runs of the workload fail no more operations in all than
-the parent's).  It uses the standard library only.
+``gain_shown`` (at least ten pairs were run, the change reads better in at
+least nine tenths of them, ties counting for neither, its median is better by
+more than the parent's q3 - q1, and its runs of the workload fail no more
+operations in all than the parent's).  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ SIDES = ("parent", "change")
 # Provenance that must be the same in every run for the sides to compare.
 HOST_FIELDS = ("nproc", "affinity_cpus", "python", "numpy", "blas", "threads",
                "host_note")
+# Fewest same-seed pairs a gain can be shown on: with fewer, one lost pair
+# decides the nine-tenths rule.
+MIN_GAIN_PAIRS = 10
 
 
 def read_run(path) -> dict:
@@ -78,13 +81,15 @@ def read_gate() -> dict[str, tuple[str, float]]:
 def judge(par: list[float], chg: list[float], ps: dict, cs: dict,
           more_failed: bool, better: str, bound: float) -> dict:
     """The gate's reading of one metric over same-seed pairs; no gain shows
-    on a workload where the change fails more operations than the parent."""
+    on fewer than MIN_GAIN_PAIRS pairs, nor on a workload where the change
+    fails more operations than the parent."""
     sign = 1.0 if better == "lower" else -1.0
     gain = sign * (ps["median"] - cs["median"])
     wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
     return {"better": better, "bound": bound,
             "within_bound": -gain <= bound * abs(ps["median"]),
-            "gain_shown": 10 * wins >= 9 * len(par)
+            "gain_shown": len(par) >= MIN_GAIN_PAIRS
+                          and 10 * wins >= 9 * len(par)
                           and gain > ps["q3"] - ps["q1"] and not more_failed}
 
 
@@ -160,11 +165,12 @@ def summarize(runs: dict[str, list[dict]],
                  "parent; change_lower_pairs counts same-seed pairs where the "
                  "change reads lower; better and bound are BENCHMARK.json's; "
                  "within_bound: the change median is worse than the parent "
-                 "median by at most bound of it; gain_shown: the change reads "
-                 "better in at least 9/10 of the pairs (ties count for "
-                 "neither), its median by more than the parent's q3 - q1, "
-                 "and its runs of the workload fail no more operations in "
-                 "all than the parent's",
+                 "median by at most bound of it; gain_shown: at least "
+                 f"{MIN_GAIN_PAIRS} pairs were run, the change reads better "
+                 "in at least 9/10 of them (ties count for neither), its "
+                 "median by more than the parent's q3 - q1, and its runs of "
+                 "the workload fail no more operations in all than the "
+                 "parent's",
         "commits": commits,
         "host": {"nproc": prov["nproc"], "affinity_cpus": prov["affinity_cpus"],
                  "python": prov["python"], "numpy": prov["numpy"],
