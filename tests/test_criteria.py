@@ -91,6 +91,20 @@ def test_trace_uneven_dims_both_orders():
     assert not small_first.detected
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 5), (3, 4)])
+def test_trace_uneven_product_state_margin_zero(dims):
+    """On |0>|0> C vanishes, so no direction of the larger side is paired
+    with a singular value; the null-space completion pairs the ones the
+    pure marginal does not fluctuate in, and the margin is 0, not the
+    -1.0 to -2.5 of an arbitrary null-space basis."""
+    da, db = dims
+    psi = np.zeros(da * db, dtype=complex)
+    psi[0] = 1.0
+    v = cmc_trace(np.outer(psi, psi), dims)
+    assert v.details["lhs"] == 0.0
+    assert abs(v.margin) < 1e-14 and not v.detected
+
+
 def test_schmidt_upb_threshold_neighborhood():
     assert cmc_schmidt(states.upb_tiles(0.8839), (3, 3)).detected
     assert not cmc_schmidt(states.upb_tiles(0.8829), (3, 3)).detected

@@ -1,6 +1,6 @@
 """Property tests: every two-qubit verdict is invariant under local unitaries
 and under exchanging the subsystems.  So are the verdicts and margins at
-larger dimensions: under local unitaries at (2,3), (3,3) and (2,5), and under
+larger dimensions: under local unitaries at (2,3), (3,3), (2,5) and (3,4), and under
 the exchange at (2,3) and (3,4).  On those larger states no verdict flags a
 separable mixture, in either orientation, and the implications between
 criteria hold state by state.  The filter normal form, and so the filter
@@ -111,17 +111,19 @@ def test_uneven_verdicts_invariant_under_subsystem_swap(dims, seed, separable):
             assert abs(v.margin - w.margin) <= SWAP_MARGIN_TOL, v.name
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 5)])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 5), (3, 4)])
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(seed=st.integers(0, 2**31 - 1), separable=st.booleans())
 def test_verdicts_and_margins_invariant_under_local_unitaries(dims, seed, separable):
     """(U_A x U_B) rho (U_A x U_B)^dagger gets the same flags, and the same
     margins within SWAP_MARGIN_TOL (LU_FILTER_MARGIN_TOL for the filter),
-    the Ky-Fan shifts included at d_A = d_B, the only dims they run at."""
+    the Ky-Fan shifts included at d_A = d_B, the only dims they run at.
+    Separable mixtures of few terms have a rank-deficient C, whose null
+    space the uneven trace test must not read off an arbitrary basis."""
     da, db = dims
     rng = np.random.default_rng([99, da, db, seed])
     if separable:
-        rho = states.random_separable(da, db, int(rng.integers(4, 16)), rng=rng)
+        rho = states.random_separable(da, db, int(rng.integers(1, 16)), rng=rng)
     else:
         rho = states.random_density(da * db, rng=rng)
     u = np.kron(_haar_unitary(da, rng), _haar_unitary(db, rng))
