@@ -177,13 +177,7 @@ def cmd_detect(args) -> int:
             bases = [observables.make_basis(args.basis, d) for d in dims]
             if args.basis in ("gellmann", "pauli"):
                 # the Gell-Mann-like bases (Pauli's at d = 2) give run_all's CM
-                # of the oriented state, its sides exchanged back if dA > dB
-                bcm = st.oriented.block_cm
-                if st.oriented is not st:
-                    bcm = replace(bcm, a=bcm.b, b=bcm.a, c=bcm.c.T, joint=bcm.joint.T,
-                                  purity_a=bcm.purity_b, purity_b=bcm.purity_a,
-                                  moments_a=bcm.moments_b, moments_b=bcm.moments_a)
-                bcm = replace(bcm, basis_a=bases[0], basis_b=bases[1])
+                bcm = replace(st.block_cm, basis_a=bases[0], basis_b=bases[1])
             else:
                 bcm = covariance.build_block_cm(st, *bases, kind="symmetric")
         except MatrixError as exc:

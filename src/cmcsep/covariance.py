@@ -40,11 +40,11 @@ class BlockCovarianceMatrix:
     c: np.ndarray = field(repr=False)
     basis_a: ObservableBasis = field(repr=False)
     basis_b: ObservableBasis = field(repr=False)
-    purity_a: float = 0.0
-    purity_b: float = 0.0
-    moments_a: np.ndarray | None = field(default=None, repr=False)
-    moments_b: np.ndarray | None = field(default=None, repr=False)
-    joint: np.ndarray | None = field(default=None, repr=False)
+    purity_a: float
+    purity_b: float
+    moments_a: np.ndarray = field(repr=False)
+    moments_b: np.ndarray = field(repr=False)
+    joint: np.ndarray = field(repr=False)
 
     def assembled(self) -> np.ndarray:
         top = np.hstack([self.a, self.c.astype(self.a.dtype)])

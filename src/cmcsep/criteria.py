@@ -61,21 +61,21 @@ def _verdict(name: str, margin: float, details: dict,
 def ppt(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Positivity of the partial transpose; margin is minus its smallest
     eigenvalue."""
-    wmin = as_state(rho, dims).oriented.pt_min_eigenvalue
+    wmin = as_state(rho, dims).pt_min_eigenvalue
     return _verdict("ppt", -wmin, {"min_eigenvalue": wmin})
 
 
 def ccnr(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Realignment test: the operator Schmidt coefficients of a separable
     state sum to at most one."""
-    total = float(np.sum(as_state(rho, dims).oriented.schmidt.lambdas))
+    total = float(np.sum(as_state(rho, dims).schmidt.lambdas))
     return _verdict("ccnr", total - 1.0, {"schmidt_sum": total})
 
 
 def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Bloch-representation test: trace norm of the traceless-sector joint
     moments against sqrt((1-1/dA)(1-1/dB))."""
-    st = as_state(rho, dims).oriented
+    st = as_state(rho, dims)
     da, db = st.dims
     norm = float(np.sum(st.bloch_singular_values))
     bound = np.sqrt((1.0 - 1.0 / da) * (1.0 - 1.0 / db))
@@ -86,64 +86,62 @@ def de_vicente(rho, dims: tuple[int, int]) -> CriterionVerdict:
 def cmc_singular_values(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """||C||_tr^2 <= (1 - tr rho_A^2)(1 - tr rho_B^2) for separable states;
     basis independent by local orthogonal invariance of the trace norm."""
-    st = as_state(rho, dims).oriented
+    st = as_state(rho, dims)
     bcm = st.block_cm
-    norm = float(np.sum(st.c_svd[0]))
+    norm = float(np.sum(st.c_svd[1]))
     bound = np.sqrt(max((1.0 - bcm.purity_a) * (1.0 - bcm.purity_b), 0.0))
-    pa, pb = bcm.purity_a, bcm.purity_b
-    if st.swapped:
-        pa, pb = pb, pa
     return _verdict("cmc_singular_values", norm - bound,
                     {"c_trace_norm": norm, "bound": float(bound),
-                     "purity_a": pa, "purity_b": pb})
+                     "purity_a": bcm.purity_a, "purity_b": bcm.purity_b})
 
 
 def cmc_trace(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Trace test 2 sum |C_ii| against the purity deficits, after rotating
     both local bases so the cross block is diagonal.
 
-    The identities pair with each other and add 0 to both sides (C_00 = 0,
-    B_00 = 0), so the rotation acts on the traceless blocks alone.  For
-    d_A < d_B only the d_A^2 - 1 rotated B-side diagonal entries paired with
-    the singular values of C enter; the matching bound then keeps the full
-    A-side purity deficit but can no longer subtract the B-side pure-state
-    trace, so the B term stays at the bare diagonal sum over them (a valid,
-    weaker bound).  Only the directions of nonzero singular values are fixed
-    by C; the remaining slots take any orthonormal directions in its null
-    space, so they take the smallest eigenvalues of the rotated B block
-    compressed there, the tightest such choice and one the state determines.
+    The identities pair with each other and add 0 to both sides (C_00 =
+    A_00 = B_00 = 0), so the rotation acts on the traceless blocks alone.  For
+    d_A != d_B only the n = min(d_A, d_B)^2 - 1 rotated diagonal entries of
+    the larger side paired with the singular values of C enter; the
+    matching bound then keeps the smaller side's full purity deficit but
+    can no longer subtract the larger side's pure-state trace, so that term
+    stays at the bare diagonal sum over them (a valid, weaker bound).  Only
+    the directions of nonzero singular values are fixed by C; the remaining
+    slots take any orthonormal directions in its null space, so they take
+    the smallest eigenvalues of the larger side's rotated block compressed
+    there, the tightest such choice and one the state determines.
     """
-    st = as_state(rho, dims).oriented
+    st = as_state(rho, dims)
     da, db = st.dims
     bcm = st.block_cm
-    sing, vt = st.c_svd
-    na = da * da - 1
-    lhs = 2.0 * float(np.sum(sing[:na]))  # |diag(U^T C V^T)|, largest first
-    deficit_a = 1.0 - bcm.purity_a
+    u, sing, vt = st.c_svd
+    n = len(sing)
+    lhs = 2.0 * float(np.sum(sing))  # |diag(U^T C V^T)|, largest first
     if da == db:
-        rhs = deficit_a + (1.0 - bcm.purity_b)
+        rhs = (1.0 - bcm.purity_a) + (1.0 - bcm.purity_b)
     else:
-        m = vt @ bcm.b[1:, 1:] @ vt.T
-        paired = np.diag(m)[:na]
+        deficit, big, rot = ((1.0 - bcm.purity_a, bcm.b, vt) if da < db
+                             else (1.0 - bcm.purity_b, bcm.a, u.T))
+        m = rot @ big[1:, 1:] @ rot.T
+        paired = np.diag(m)[:n]
         r = int(np.sum(sing > RANK_RTOL * np.max(sing, initial=1.0)))
-        if r < na:
+        if r < n:
             paired = np.concatenate(
-                (paired[:r], np.linalg.eigvalsh(m[r:, r:])[:na - r]))
-        rhs = deficit_a + float(np.sum(paired))
+                (paired[:r], np.linalg.eigvalsh(m[r:, r:])[:n - r]))
+        rhs = deficit + float(np.sum(paired))
     # lhs and rhs are on twice the scale of the singular-value test's, so
     # the threshold doubles with them and trace => SV holds at the threshold
     return _verdict("cmc_trace", lhs - rhs,
                     {"lhs": lhs, "bound": rhs,
                      "c_singular_values": sing,
-                     "index_set": list(range(na)),
-                     "swapped": st.swapped},
+                     "index_set": list(range(n))},
                     eps=2 * EPS_MARGIN)
 
 
 def cmc_schmidt(rho, dims: tuple[int, int]) -> CriterionVerdict:
     """Trace test in the operator Schmidt basis:
     2 sum |l_k - l_k^2 gA_k gB_k| <= 2 - sum l_k^2 (gA_k^2 + gB_k^2)."""
-    dec = as_state(rho, dims).oriented.schmidt
+    dec = as_state(rho, dims).schmidt
     lam, ga, gb = dec.lambdas, dec.g_a, dec.g_b
     lhs = 2.0 * float(np.sum(np.abs(lam - lam**2 * ga * gb)))
     rhs = 2.0 - float(np.sum(lam**2 * (ga**2 + gb**2)))
@@ -160,9 +158,9 @@ def cmc_kyfan_weyl(rho, dims: tuple[int, int], s: int = 1) -> CriterionVerdict:
         raise MatrixError("Ky-Fan refinement needs equal local dimensions")
     if not 1 <= s <= da - 1:
         raise MatrixError(f"shift s={s} outside [1, {da - 1}]")
-    st = as_state(rho, dims).oriented
+    st = as_state(rho, dims)
     k = da * da - da + 1 + s
-    c_norm = float(np.sum(st.c_svd[0][:k]))
+    c_norm = float(np.sum(st.c_svd[1][:k]))
     norm_a, norm_b = st.local_cm_norms
     a_term = k * norm_a - s
     b_term = k * norm_b - s
@@ -200,10 +198,10 @@ def cmc_filter(rho, dims: tuple[int, int],
     margin is that of the unfiltered coefficients against the de Vicente
     bound, with ``details["separable_by"] = "low_rank_ppt"``.
     """
-    st = as_state(rho, dims).oriented
+    st = as_state(rho, dims)
     da, db = st.dims
-    low_rank_ppt = (int(np.sum(st.eigenvalues > matlin.DEFAULT_NOISE_EPS)) <= db
-                    and not ppt(st, st.dims).detected)
+    low_rank_ppt = (int(np.sum(st.eigenvalues > matlin.DEFAULT_NOISE_EPS))
+                    <= max(da, db) and not ppt(st, st.dims).detected)
     if low_rank_ppt:
         # xi of rho / tr rho itself
         xi = da * db * st.bloch_singular_values / np.real(np.trace(st.rho))
@@ -212,19 +210,15 @@ def cmc_filter(rho, dims: tuple[int, int],
     else:
         nf = filtering.normal_form(st, st.dims, max_iter=max_iter)
         xi = nf.xi
-        # by the input's sides, so kron(filter_a, filter_b) acts on rho as given
-        fa, fb = ((nf.filter_b, nf.filter_a) if st.swapped
-                  else (nf.filter_a, nf.filter_b))
         run = {"converged": nf.converged, "iterations": nf.iterations,
                "noise_eps": nf.noise_eps, "f_value": nf.f_value,
-               "filter_a": fa, "filter_b": fb}
+               "filter_a": nf.filter_a, "filter_b": nf.filter_b}
     total = float(np.sum(xi))
     bound = filter_xi_bound((da, db), run["converged"])
     return CriterionVerdict(
         name="cmc_filter", margin=total - bound,
         detected=not low_rank_ppt and total - bound > EPS_MARGIN,
-        details={"xi": xi, "xi_sum": total, "bound": bound, **run,
-                 "swapped": st.swapped})
+        details={"xi": xi, "xi_sum": total, "bound": bound, **run})
 
 
 def _traceless_sym_basis_3() -> list[np.ndarray]:

@@ -161,13 +161,10 @@ def swap_subsystems(rho, dims: tuple[int, int]) -> np.ndarray:
 
 class CheckedState:
     """A bipartite state, checked Hermitian and of shape dA dB x dA dB on
-    first use of ``rho``; its spectrum, its oriented form and the
-    quantities several criteria share are computed on first use and kept.
+    first use of ``rho``; its spectrum and the quantities several criteria
+    share are computed on first use and kept.
     Functions that take a state accept one in place of ``rho``, so a state
     is checked once however many of them it reaches."""
-
-    # set on the oriented form of a state whose first system is the larger
-    swapped = False
 
     def __init__(self, rho, dims: tuple[int, int]):
         self._raw = rho
@@ -184,20 +181,6 @@ class CheckedState:
     def eigenvalues(self) -> np.ndarray:
         """Spectrum of the state, non-decreasing."""
         return np.linalg.eigvalsh(self.rho)
-
-    @property
-    def oriented(self) -> CheckedState:
-        """The state with the smaller system first: itself when dA <= dB,
-        else its swap, kept (keeping self would be a reference cycle)."""
-        return self if self.dims[0] <= self.dims[1] else self._swap
-
-    @functools.cached_property
-    def _swap(self) -> CheckedState:
-        # a swapped exactly Hermitian matrix is exactly Hermitian: no re-check
-        da, db = self.dims
-        out = _checked(swap_subsystems(self.rho, self.dims), (db, da))
-        out.swapped = True
-        return out
 
     def mixed(self) -> tuple[CheckedState, float]:
         """The state and 0.0 when its smallest eigenvalue is at least
@@ -239,12 +222,11 @@ class CheckedState:
     # check each block again and cast it to complex.
 
     @functools.cached_property
-    def c_svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values of the traceless cross block ``C[1:, 1:]`` (the
-        Gell-Mann-like bases lead with the identity, whose row and column of
-        C vanish) and its V^T, from one full SVD."""
-        _, s, vt = np.linalg.svd(self.block_cm.c[1:, 1:])
-        return _read_only(s), _read_only(vt)
+    def c_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U, the singular values and V^T of the traceless cross block
+        ``C[1:, 1:]`` (the Gell-Mann-like bases lead with the identity,
+        whose row and column of C vanish), from one full SVD."""
+        return tuple(map(_read_only, np.linalg.svd(self.block_cm.c[1:, 1:])))
 
     @functools.cached_property
     def local_cm_norms(self) -> tuple[float, float]:

@@ -391,9 +391,8 @@ def test_detect_with_cm_export(tmp_path, capsys):
 def test_detect_basis_builds_block_cm(tmp_path, capsys, monkeypatch, basis,
                                       dims, builds):
     """detect --basis gellmann, or pauli (the d = 2 Gell-Mann-like basis),
-    exports the block CM the criteria shared, with dA > dB that of the
-    oriented state with its sides exchanged back; another basis needs a CM
-    of its own.  The export matches a CM built directly on the input."""
+    exports the block CM the criteria shared, at dA > dB too; another basis
+    needs a CM of its own.  The export matches a CM built directly on the input."""
     path = tmp_path / "w.json"
     rho = (states.werner_2q(0.5) if dims == (2, 2)
            else states.random_density(6, rng=np.random.default_rng(525)))

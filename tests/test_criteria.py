@@ -79,14 +79,14 @@ def test_trace_auto_equals_singular_route_on_upb():
 
 
 def test_trace_uneven_dims_both_orders():
-    """The trace test relabels sides so the smaller system comes first."""
+    """The trace test, run on the state as given, gives the same margin
+    whichever side is written first."""
     rng = np.random.default_rng(107)
     rho = states.random_separable(2, 3, n_terms=8, rng=rng)
     small_first = cmc_trace(rho, (2, 3))
     from cmcsep.matlin import swap_subsystems
 
     big_first = cmc_trace(swap_subsystems(rho, (2, 3)), (3, 2))
-    assert big_first.details["swapped"]
     assert abs(small_first.margin - big_first.margin) < 1e-10
     assert not small_first.detected
 
@@ -166,18 +166,27 @@ def test_filter_swapped_dims():
     rng = np.random.default_rng(104)
     rho = states.random_separable(3, 2, n_terms=8, rng=rng)
     v = cmc_filter(rho, (3, 2))
-    assert v.details["swapped"]
     assert not v.detected
 
 
+def test_filter_low_rank_ppt_branch_reads_the_larger_side():
+    """A PPT state of rank max(dA, dB) = 3 at (3, 2) is separable without
+    a filter step, though its rank exceeds dB."""
+    rho = states.random_separable(3, 2, n_terms=3, rng=np.random.default_rng(527))
+    assert np.sum(np.linalg.eigvalsh(rho) > filtering.DEFAULT_NOISE_EPS) == 3
+    v = cmc_filter(rho, (3, 2))
+    assert v.details["separable_by"] == "low_rank_ppt"
+    assert v.details["iterations"] == 0 and not v.detected
+
+
 def test_filter_reports_filters_by_input_sides():
-    """At (3, 2) the filters of the swapped state's normal form are reported
-    by the input's sides: kron(filter_a, filter_b) brings rho itself to
-    maximally mixed marginals."""
+    """At (3, 2) the filters are reported by the input's sides:
+    kron(filter_a, filter_b) brings rho itself to maximally mixed
+    marginals."""
     rho = states.random_density(6, rng=np.random.default_rng(526))
     v = cmc_filter(rho, (3, 2))
     fa, fb = v.details["filter_a"], v.details["filter_b"]
-    assert v.details["swapped"] and v.details["converged"]
+    assert v.details["converged"]
     assert fa.shape == (3, 3) and fb.shape == (2, 2)
     k = np.kron(fa, fb)
     out = k @ rho @ k.conj().T
@@ -518,7 +527,7 @@ def test_run_all_builds_shared_quantities_once(monkeypatch, dims):
     verdicts = run_all(rho, dims)
     assert len(verdicts) == (9 if dims[0] == dims[1] else 7)
     assert len(schmidt_calls) == 1
-    # with d_A > d_B every criterion shares the CM of the swapped state
+    # with d_A > d_B too every criterion shares the CM of the state as given
     assert len(bcm_calls) == 1
 
 
@@ -586,23 +595,22 @@ def test_sdp_cm_is_that_of_the_noise_mixed_state(monkeypatch):
 
 
 # per state, keyed by (dA, dB) at full rank and (dA, dB, rank) below it:
-# hermitize, build_block_cm, swap_subsystems and joint_moments calls.  The
-# SDP at (2, 2) checks its LUR state once more; on a rank-1 state it solves
-# on the noise-mixed state, which is not checked again but has its own
-# block CM.  A block CM reads its joint moments off the local moments, with
+# hermitize, build_block_cm, swap_subsystems and joint_moments calls.  No
+# state is swapped, at (3, 2) either.  The SDP at (2, 2) checks its LUR
+# state once more; on a rank-1 state it solves on the noise-mixed state,
+# which is not checked again but has its own block CM.  A block CM reads its joint moments off the local moments, with
 # no contraction of its own, and serves de Vicente and the operator Schmidt
 # decomposition; the filter reads the xi of its normal form rho~ off its
 # Newton iterates' local moments, so the one contraction is the LUR value's.
 CHECKS_AND_ORIENTS = {(2, 2): (2, 1, 0, 1), (2, 3): (1, 1, 0, 0),
-                      (2, 5): (1, 1, 0, 0), (3, 2): (1, 1, 1, 0),
+                      (2, 5): (1, 1, 0, 0), (3, 2): (1, 1, 0, 0),
                       (3, 3): (1, 1, 0, 0), (2, 2, 1): (2, 2, 0, 1)}
 
 
 @pytest.mark.parametrize("dims", list(CHECKS_AND_ORIENTS))
 def test_run_all_checks_and_orients_once(monkeypatch, dims):
-    """run_all checks each state once, swaps it at most once, builds one
-    block CM per state it solves on and reads de Vicente's joint moments
-    from it."""
+    """run_all checks each state once, never swaps it, builds one block CM
+    per state it solves on and reads de Vicente's joint moments from it."""
     counts = [count_calls(monkeypatch, module, name)
               for module, name in ((matlin, "hermitize"),
                                    (covariance, "build_block_cm"),

@@ -465,7 +465,7 @@ def test_normal_form_pinned_on_bound_entangled_states(rho):
 
 
 def test_cmc_filter_pinned_on_swapped_dims(monkeypatch):
-    """At (3, 2) cmc_filter filters the swapped state; its verdict is the
+    """At (3, 2) cmc_filter filters the state as given; its verdict is the
     same with the pinned loop in place of normal_form, its coefficients and
     margin to rounding."""
     rhos = [states.random_density(6, rank=rank, rng=np.random.default_rng([108, i]))
@@ -475,7 +475,7 @@ def test_cmc_filter_pinned_on_swapped_dims(monkeypatch):
                         reference_newton_normal_form(st.rho, dims, **kw))
     for rho, v in zip(rhos, got):
         ref = cmc_filter(rho, (3, 2))
-        assert v.details["swapped"] and "separable_by" not in v.details
+        assert "separable_by" not in v.details
         assert v.detected == ref.detected
         assert abs(v.margin - ref.margin) <= XI_ATOL
         np.testing.assert_allclose(v.details["xi"], ref.details["xi"],

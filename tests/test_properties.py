@@ -92,12 +92,13 @@ def test_verdicts_invariant_under_subsystem_swap(seed, separable):
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(seed=st.integers(0, 2**31 - 1), separable=st.booleans())
 def test_uneven_verdicts_invariant_under_subsystem_swap(dims, seed, separable):
-    """The criteria that order the sides themselves (the filter and CCNR put
-    the smaller side first) give the same margin in either orientation."""
+    """Every criterion reads the state as given, so the two orders of the
+    sides are two different computations; they give the same margins to
+    rounding, on separable mixtures of 1 term (a rank-deficient C) up."""
     da, db = dims
     rng = np.random.default_rng([97, da, db, seed])
     if separable:
-        rho = states.random_separable(da, db, int(rng.integers(4, 16)), rng=rng)
+        rho = states.random_separable(da, db, int(rng.integers(1, 16)), rng=rng)
     else:
         rho = states.random_density(da * db, rng=rng)
     here = run_all(rho, dims)
